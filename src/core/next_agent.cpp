@@ -179,91 +179,32 @@ void NextAgent::apply_action(std::size_t action, soc::Soc& soc) noexcept {
   }
 }
 
-void NextAgent::absorb_transition(const governors::Observation& obs, int target_fps,
-                                  rl::StateKey state) {
+void NextAgent::control(const governors::Observation& obs, soc::Soc& soc) {
+  const int target = window_.target_fps();
+  const rl::StateKey state = encoder_.encode(obs, target);
   if (mode_ == AgentMode::kTraining && prev_state_.has_value()) {
     // The reward for the previous action is judged by what it led to: the
     // observation we are looking at now.
-    const double r = reward(obs, target_fps);
+    const double r = reward(obs, target);
     last_reward_ = r;
     reward_sum_ += r;
     const double td = learner_.update(table_, *prev_state_, prev_action_, r, state);
     convergence_.add(td);
   } else if (mode_ == AgentMode::kDeployed) {
-    last_reward_ = reward(obs, target_fps);
+    last_reward_ = reward(obs, target);
     reward_sum_ += last_reward_;
   }
-}
 
-std::size_t NextAgent::select_action(rl::StateKey state) {
   // Deployment fallback for never-trained states: "do nothing" (index 2 on
   // cluster 0) - an untrained corner must not push caps around.
   const std::size_t hold = action_index(0, ActionKind::kDoNothing);
-  return (mode_ == AgentMode::kTraining) ? policy_.select(table_, state, rng_)
-                                         : table_.best_action(state, hold);
-}
-
-void NextAgent::commit_decision(rl::StateKey state, std::size_t action, soc::Soc& soc) {
+  const std::size_t action = (mode_ == AgentMode::kTraining)
+                                 ? policy_.select(table_, state, rng_)
+                                 : table_.best_action(state, hold);
   apply_action(action, soc);
   prev_state_ = state;
   prev_action_ = action;
   ++decisions_;
-}
-
-void NextAgent::control(const governors::Observation& obs, soc::Soc& soc) {
-  const int target = window_.target_fps();
-  const rl::StateKey state = encoder_.encode(obs, target);
-  absorb_transition(obs, target, state);
-  const std::size_t action = select_action(state);
-  commit_decision(state, action, soc);
-}
-
-void NextAgent::control_group(std::span<NextAgent* const> agents,
-                              std::span<const governors::Observation* const> obs,
-                              std::span<soc::Soc* const> socs) {
-  NEXTGOV_ASSERT(obs.size() == agents.size() && socs.size() == agents.size());
-  const std::size_t n = agents.size();
-  // Scratch is allocated per call: group control fires once per control
-  // period (one tick in ~100), so a few small vectors are noise next to the
-  // n Q-sweeps they enable.
-  std::vector<rl::StateKey> states(n);
-  std::vector<std::size_t> actions(n);
-
-  // Phase 1 - discretize: every lane's observation through its encoder.
-  for (std::size_t i = 0; i < n; ++i) {
-    NextAgent& a = *agents[i];
-    states[i] = a.encoder_.encode(*obs[i], a.window_.target_fps());
-  }
-  // Phase 2 - learn: reward + Q-update sweep.
-  for (std::size_t i = 0; i < n; ++i) {
-    agents[i]->absorb_transition(*obs[i], agents[i]->window_.target_fps(), states[i]);
-  }
-  // Phase 3 - act: greedy (deployed) lanes resolve through one batched
-  // table lookup; exploring lanes draw through their own policy and rng.
-  std::vector<const rl::QTable*> greedy_tables;
-  std::vector<rl::StateKey> greedy_states;
-  std::vector<std::size_t> greedy_lanes;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (agents[i]->mode_ == AgentMode::kDeployed) {
-      greedy_tables.push_back(&agents[i]->table_);
-      greedy_states.push_back(states[i]);
-      greedy_lanes.push_back(i);
-    } else {
-      actions[i] = agents[i]->select_action(states[i]);
-    }
-  }
-  if (!greedy_lanes.empty()) {
-    std::vector<std::size_t> greedy_actions(greedy_lanes.size());
-    rl::best_actions(greedy_tables, greedy_states, action_index(0, ActionKind::kDoNothing),
-                     greedy_actions);
-    for (std::size_t g = 0; g < greedy_lanes.size(); ++g) {
-      actions[greedy_lanes[g]] = greedy_actions[g];
-    }
-  }
-  // Phase 4 - commit: actuate caps and advance each lane's trajectory.
-  for (std::size_t i = 0; i < n; ++i) {
-    agents[i]->commit_decision(states[i], actions[i], *socs[i]);
-  }
 }
 
 double NextAgent::mean_reward() const noexcept {

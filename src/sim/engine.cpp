@@ -6,10 +6,8 @@
 #include "common/error.hpp"
 #include "core/next_agent.hpp"
 #include "core/ppdw.hpp"
-#include "soc/power_batch.hpp"
 #include "soc/power_model.hpp"
 #include "soc/sensors.hpp"
-#include "thermal/rc_batch.hpp"
 
 namespace nextgov::sim {
 
@@ -125,11 +123,12 @@ void Engine::rebuild_observation(bool force) {
   }
 
   const auto& nodes = thermal_.nodes;
-  const Celsius t_big = soc::quantize_temperature(Celsius{node_temp(nodes.big)});
-  const Celsius t_little = soc::quantize_temperature(Celsius{node_temp(nodes.little)});
-  const Celsius t_gpu = soc::quantize_temperature(Celsius{node_temp(nodes.gpu)});
-  const Celsius t_batt = soc::quantize_temperature(Celsius{node_temp(nodes.battery)});
-  const Celsius t_skin = soc::quantize_temperature(Celsius{node_temp(nodes.skin)});
+  const auto temps = thermal_.network.temperatures_raw();
+  const Celsius t_big = soc::quantize_temperature(Celsius{temps[nodes.big]});
+  const Celsius t_little = soc::quantize_temperature(Celsius{temps[nodes.little]});
+  const Celsius t_gpu = soc::quantize_temperature(Celsius{temps[nodes.gpu]});
+  const Celsius t_batt = soc::quantize_temperature(Celsius{temps[nodes.battery]});
+  const Celsius t_skin = soc::quantize_temperature(Celsius{temps[nodes.skin]});
   obs_.sensors.big = t_big;
   obs_.sensors.little = t_little;
   obs_.sensors.gpu = t_gpu;
@@ -138,11 +137,6 @@ void Engine::rebuild_observation(bool force) {
   obs_.sensors.device =
       soc::quantize_temperature(soc::virtual_device_temperature(t_batt, t_skin, t_big, t_little, t_gpu));
   obs_.sensors.power = soc::quantize_power(device_power_);
-}
-
-double Engine::node_temp(thermal::NodeId id) const noexcept {
-  return batch_ != nullptr ? batch_->temperature_lane(id)[batch_lane_]
-                           : thermal_.network.temperatures_raw()[id];
 }
 
 void Engine::record_if_due() {
@@ -183,7 +177,6 @@ void Engine::step_pre_power() {
 
 void Engine::apply_power_model() {
   // 3. utilization -> power, injected into the network for the solve.
-  NEXTGOV_ASSERT(batch_ == nullptr);
   auto& net = thermal_.network;
   Watts soc_power{0.0};
   for (std::size_t i = 0; i < soc_.cluster_count(); ++i) {
@@ -198,17 +191,12 @@ void Engine::apply_power_model() {
   net.set_power(thermal_.nodes.soc_board, device.rest_of_device);
 }
 
-void Engine::step_pre_thermal() {
-  step_pre_power();
-  apply_power_model();
-}
-
 void Engine::step_post_observe() {
   now_ += config_.step;
 
   // 5. sensors + sampled stream + kernel governor. The meta governor's
   // control point is only latched here; running it is its own phase so a
-  // batch driver can sweep a whole group's agents at once.
+  // caller can time it apart from the kernel governor.
   rebuild_observation();
   if (meta_gov_ != nullptr) {
     if (meta_sample_period_.us() > 0 && now_ >= next_meta_sample_) {
@@ -243,41 +231,14 @@ void Engine::step_post_finish() {
   record_if_due();
 }
 
-void Engine::step_post_thermal() {
+void Engine::step() {
+  step_pre_power();
+  apply_power_model();
+  // 4. heat flows.
+  thermal_.network.step(config_.step);
   step_post_observe();
   step_post_meta();
   step_post_finish();
-}
-
-void Engine::attach_thermal_batch(thermal::RcBatch& batch, std::size_t lane) {
-  require(batch_ == nullptr, "engine is already attached to a thermal batch");
-  batch.load_state(lane, thermal_.network);  // validates the shared topology
-  // The serial power phase rewrites the constant non-cluster node powers
-  // every tick; a resident lane receives them once here (same values).
-  const auto& device = soc_.device_power();
-  batch.set_power(lane, thermal_.nodes.skin, device.display);
-  batch.set_power(lane, thermal_.nodes.soc_board, device.rest_of_device);
-  batch_ = &batch;
-  batch_lane_ = lane;
-}
-
-void Engine::detach_thermal_batch() {
-  if (batch_ == nullptr) return;
-  batch_->store_temperatures(batch_lane_, thermal_.network);
-  batch_ = nullptr;
-}
-
-void Engine::push_power_inputs(soc::PowerBatch& batch, std::size_t lane) const {
-  for (std::size_t i = 0; i < soc_.cluster_count(); ++i) {
-    batch.set_input(lane, i, soc_.cluster(i).freq_index(), loads_[i].busy_avg);
-  }
-}
-
-void Engine::step() {
-  step_pre_thermal();
-  // 4. heat flows.
-  thermal_.network.step(config_.step);
-  step_post_thermal();
 }
 
 void Engine::run(SimTime duration) {
@@ -295,7 +256,6 @@ void Engine::reset_session(std::unique_ptr<workload::App> new_app) {
   app_ = std::move(new_app);
   pipeline_.reset(now_);
   thermal_.network.set_all_temperatures(config_.ambient);
-  if (batch_ != nullptr) batch_->set_all_temperatures(batch_lane_, config_.ambient);
   soc_.reset();
   freq_gov_->reset();
   if (meta_gov_) meta_gov_->reset();

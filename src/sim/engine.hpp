@@ -28,12 +28,6 @@
 namespace nextgov::core {
 class NextAgent;
 }
-namespace nextgov::soc {
-class PowerBatch;
-}
-namespace nextgov::thermal {
-class RcBatch;
-}
 
 namespace nextgov::sim {
 
@@ -70,7 +64,12 @@ struct EngineTotals {
   std::int64_t frames_dropped{0};
 };
 
-class Engine {
+/// Cache-line aligned: each session heap-allocates one engine and touches
+/// most of its state every 1 ms step, so where the object starts relative
+/// to a cache line is a hot-path property. Left to malloc's 16-byte
+/// alignment it varied with the member layout and cost up to ~20 % of
+/// eval-sweep throughput (nxbench eval_sweep, 4-vCPU Xeon, GCC 12 LTO).
+class alignas(64) Engine {
  public:
   /// `meta_gov` may be null (stock configuration).
   Engine(soc::Soc soc, std::unique_ptr<workload::App> app,
@@ -82,69 +81,32 @@ class Engine {
   /// Executes exactly one engine step.
   void step();
 
-  /// Batched stepping entry points. step() is exactly
-  ///   step_pre_thermal(); thermal().step(config().step); step_post_thermal();
-  /// and each of those composes from the finer phases below, so external
-  /// drivers (sim::BatchRunner) can interleave N engines per phase while
-  /// staying bit-identical to per-engine step():
-  ///   step_pre_thermal()  = step_pre_power(); apply_power_model();
-  ///   step_post_thermal() = step_post_observe(); step_post_meta();
-  ///                         step_post_finish();
-  void step_pre_thermal();
-  void step_post_thermal();
-
-  /// Advances the app/render/load substrates one tick (no thermal or power
-  /// reads - safe whether or not the session is batch-resident).
+  /// The phase split external callers such as nxbench's layer ledger use
+  /// to time each layer of a tick. step() is exactly
+  ///   step_pre_power(); apply_power_model(); thermal().step(config().step);
+  ///   step_post_observe(); step_post_meta(); step_post_finish();
+  /// so a caller running the phases in that order stays bit-identical to
+  /// step().
+  ///
+  /// Advances the app/render/load substrates one tick.
   void step_pre_power();
-  /// Evaluates the power model against the engine's own RcNetwork and
-  /// writes node powers back into it. Only valid detached; batch-resident
-  /// sessions evaluate through soc::PowerBatch instead (push_power_inputs
-  /// -> PowerBatch::evaluate -> set_device_power).
+  /// Evaluates the power model against the engine's RcNetwork and writes
+  /// node powers back into it.
   void apply_power_model();
   /// Advances the clock, refreshes the observation and runs the sampled
   /// stream + kernel frequency governor; latches whether the meta governor
   /// is due this tick (meta_control_due()).
   void step_post_observe();
   /// True when step_post_observe() latched a meta-governor control point
-  /// for the current tick. Cleared by step_post_meta() or
-  /// skip_meta_control().
+  /// for the current tick. Cleared by step_post_meta().
   [[nodiscard]] bool meta_control_due() const noexcept { return meta_due_; }
   /// Runs the meta governor's control step if due.
   void step_post_meta();
-  /// Declares the due meta control handled externally (the batch driver
-  /// runs NextAgent decisions as one group sweep instead).
-  void skip_meta_control() noexcept { meta_due_ = false; }
   /// Thermal throttle, running totals and the recorder.
   void step_post_finish();
 
-  /// --- batch residency -------------------------------------------------
-  /// Parks this session's thermal state in `batch` lane `lane` (same
-  /// topology pointer required): temperatures/powers/ambient move into the
-  /// SoA lanes and the constant non-cluster node powers (display on skin,
-  /// rest-of-device on soc_board) are written once - the serial pre phase
-  /// rewrites those same values every tick, so once is equivalent. While
-  /// attached, thermal() is stale; observation and throttle reads go to the
-  /// lanes, and the driver owns the thermal step (RcBatch::step).
-  void attach_thermal_batch(thermal::RcBatch& batch, std::size_t lane);
-  /// Scatters lane temperatures back into the engine's own network and
-  /// resumes self-contained stepping. No-op when detached.
-  void detach_thermal_batch();
-  [[nodiscard]] bool thermal_batch_attached() const noexcept { return batch_ != nullptr; }
-  /// Pushes this tick's per-cluster OPP index + utilization into a
-  /// PowerBatch lane (the batch-resident replacement for
-  /// apply_power_model()'s input side).
-  void push_power_inputs(soc::PowerBatch& batch, std::size_t lane) const;
-  /// Adopts the externally evaluated device power (PowerBatch::device_power)
-  /// that the observation's fuel gauge and energy totals consume.
-  void set_device_power(Watts p) noexcept { device_power_ = p; }
-  /// Thermal node feeding each cluster's junction sensor, in cluster order
-  /// (what PowerBatch lanes must be wired to).
-  [[nodiscard]] const std::array<thermal::NodeId, 3>& cluster_nodes() const noexcept {
-    return cluster_node_;
-  }
   /// The meta governor as a Next agent, or null when the session runs a
-  /// different (or no) meta governor. Batch drivers use this to route
-  /// control points through core::NextAgent::control_group.
+  /// different (or no) meta governor.
   [[nodiscard]] core::NextAgent* next_agent() noexcept { return next_agent_; }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -153,8 +115,8 @@ class Engine {
   [[nodiscard]] workload::App& app() noexcept { return *app_; }
   [[nodiscard]] governors::MetaGovernor* meta() noexcept { return meta_gov_.get(); }
   [[nodiscard]] const thermal::RcNetwork& thermal() const noexcept { return thermal_.network; }
-  /// Mutable network access for the batched stepping path (temperature
-  /// scatter after a shared RcBatch step).
+  /// Mutable network access for callers that step the thermal phase
+  /// themselves (see the phase split above).
   [[nodiscard]] thermal::RcNetwork& thermal() noexcept { return thermal_.network; }
   [[nodiscard]] const render::RenderPipeline& pipeline() const noexcept { return pipeline_; }
   [[nodiscard]] const Recorder& recorder() const noexcept { return recorder_; }
@@ -191,9 +153,6 @@ class Engine {
   void update_loads(const render::PipelineStepResult& pr);
   void apply_thermal_throttle();
   void record_if_due();
-  /// Node temperature from wherever the session's thermal state currently
-  /// lives: the attached batch lane, or the engine's own network.
-  [[nodiscard]] double node_temp(thermal::NodeId id) const noexcept;
 
   EngineConfig config_;
   soc::Soc soc_;
@@ -202,17 +161,13 @@ class Engine {
   std::unique_ptr<workload::App> app_;
   std::unique_ptr<governors::FreqGovernor> freq_gov_;
   std::unique_ptr<governors::MetaGovernor> meta_gov_;
-  /// meta_gov_ downcast once at construction; record_if_due() used to
-  /// dynamic_cast on every sample, and batch drivers use it to group Next
-  /// control points.
+  /// meta_gov_ downcast once at construction so record_if_due() does not
+  /// dynamic_cast on every sample.
   core::NextAgent* next_agent_{nullptr};
   /// Thermal node feeding each cluster's junction sensor, in cluster order.
   std::array<thermal::NodeId, 3> cluster_node_{};
-  /// Non-owning: the SoA thermal batch this session is parked in, if any.
-  thermal::RcBatch* batch_{nullptr};
-  std::size_t batch_lane_{0};
   /// Latched by step_post_observe() when the meta governor's control period
-  /// elapses; consumed by step_post_meta() / skip_meta_control().
+  /// elapses; consumed by step_post_meta().
   bool meta_due_{false};
 
   SimTime now_{SimTime::zero()};

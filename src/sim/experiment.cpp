@@ -144,29 +144,39 @@ std::unique_ptr<Engine> make_training_engine(const AppFactory& app_factory,
   return engine;
 }
 
-void TrainingConvergence::on_chunk(std::size_t states_now, std::uint64_t decisions,
-                                   double trained_s) noexcept {
-  settled_chunks = (states_now - prev_states <= 1) ? settled_chunks + 1 : 0;
-  prev_states = states_now;
-  // The TD-EMA detector alone is dominated by reward noise and the
-  // epsilon schedule; coverage settling is what actually scales with
-  // the discretization (Fig. 6). Require both a minimum learning
-  // volume and a sustained stop in state discovery.
-  if (!converged && decisions > 2000 && settled_chunks >= kCoverageSettleChunks) {
-    converged = true;
-    sim_seconds_at_convergence = trained_s;
-  }
-}
+namespace {
 
-TrainingResult make_training_result(const core::NextAgent& agent,
-                                    const TrainingConvergence& convergence,
-                                    SimTime trained, double wall_seconds) {
-  return TrainingResult{agent.q_table(), convergence.converged,
-                        convergence.converged ? convergence.sim_seconds_at_convergence
-                                              : trained.seconds(),
-                        wall_seconds, agent.decisions(), agent.mean_reward(),
-                        agent.q_table().state_count()};
-}
+/// Cadence at which training re-checks convergence.
+constexpr SimTime kTrainingCheckChunk = SimTime::from_seconds(1.0);
+
+/// The convergence detector applied after every trained chunk. Convergence
+/// = TD errors settled (enough decisions) AND the quantized state space
+/// stopped growing: the agent keeps discovering new states for as long as
+/// the discretization is finer, which is exactly what makes finer FPS
+/// quantization train longer (the paper's Fig. 6).
+struct TrainingConvergence {
+  static constexpr int kCoverageSettleChunks = 45;  // 45 s without real discovery
+  std::size_t prev_states{0};
+  int settled_chunks{0};
+  bool converged{false};
+  double sim_seconds_at_convergence{0.0};
+
+  /// Feed the agent's state after one more kTrainingCheckChunk of training.
+  void on_chunk(std::size_t states_now, std::uint64_t decisions, double trained_s) noexcept {
+    settled_chunks = (states_now - prev_states <= 1) ? settled_chunks + 1 : 0;
+    prev_states = states_now;
+    // The TD-EMA detector alone is dominated by reward noise and the
+    // epsilon schedule; coverage settling is what actually scales with
+    // the discretization (Fig. 6). Require both a minimum learning
+    // volume and a sustained stop in state discovery.
+    if (!converged && decisions > 2000 && settled_chunks >= kCoverageSettleChunks) {
+      converged = true;
+      sim_seconds_at_convergence = trained_s;
+    }
+  }
+};
+
+}  // namespace
 
 TrainingResult train_next_on(AppFactory app_factory, const core::NextConfig& config,
                              const TrainingOptions& options) {
@@ -199,8 +209,14 @@ TrainingResult train_next_on(AppFactory app_factory, const core::NextConfig& con
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  return make_training_result(*agent, convergence, trained,
-                              std::chrono::duration<double>(wall_end - wall_start).count());
+  return TrainingResult{agent->q_table(),
+                        convergence.converged,
+                        convergence.converged ? convergence.sim_seconds_at_convergence
+                                              : trained.seconds(),
+                        std::chrono::duration<double>(wall_end - wall_start).count(),
+                        agent->decisions(),
+                        agent->mean_reward(),
+                        agent->q_table().state_count()};
 }
 
 TrainingResult train_next(workload::AppId app, const core::NextConfig& config,

@@ -366,16 +366,23 @@ SnapshotReader read_snapshot_quarantining(const std::string& path) {
     if (std::string_view{e.what()}.find("format version") != std::string_view::npos) {
       throw;
     }
-    const std::string quarantined = path + ".corrupt";
-    if (std::rename(path.c_str(), quarantined.c_str()) == 0) {
-      NEXTGOV_LOG(kWarn) << "quarantined corrupt snapshot '" << path << "' -> '"
-                         << quarantined << "': " << e.what();
-      throw SerializeError(std::string{e.what()} + " (quarantined to " + quarantined + ")");
+    if (quarantine_snapshot(path, e.what())) {
+      throw SerializeError(std::string{e.what()} + " (quarantined to " + path + ".corrupt)");
     }
-    NEXTGOV_LOG(kWarn) << "corrupt snapshot '" << path
-                       << "' could not be quarantined (rename failed): " << e.what();
     throw;
   }
+}
+
+bool quarantine_snapshot(const std::string& path, std::string_view reason) {
+  const std::string quarantined = path + ".corrupt";
+  if (std::rename(path.c_str(), quarantined.c_str()) == 0) {
+    NEXTGOV_LOG(kWarn) << "quarantined corrupt snapshot '" << path << "' -> '" << quarantined
+                       << "': " << reason;
+    return true;
+  }
+  NEXTGOV_LOG(kWarn) << "corrupt snapshot '" << path
+                     << "' could not be quarantined (rename failed): " << reason;
+  return false;
 }
 
 void save_fleet_snapshot(const FleetSnapshot& snapshot, const FleetOptions& options,
@@ -504,23 +511,16 @@ FleetResult train_fleet(AppFactory app_factory, const FleetOptions& options,
       plan_device.push_back(d);
     }
     dropped_device_rounds += round_dropped;
-    // A round's cells are homogeneous by construction (same round_duration /
-    // episode_length, no early stopping), so the fleet advances through the
-    // SoA thermal batch stepper lock-step per worker whenever the
-    // per-worker share is wide enough to pay (>= 4 devices per worker; the
-    // BatchRunner degenerates smaller fleets to the per-cell path) -
-    // either way bit-identical to run_training_plan
-    // (tests/sim/fleet_test.cpp).
+    // The round's device cells fan out across the runner's worker pool.
     // With processes > 1 the same plan fans out across forked worker
-    // processes instead (each still batching its shard) - merged
-    // bit-identically, so the choice is invisible downstream.
+    // processes instead - merged bit-identically, so the choice is
+    // invisible downstream.
     const std::vector<TrainingResult> round_results =
         plan.empty() ? std::vector<TrainingResult>{}
         : options.processes > 1
             ? run_training_plan_sharded(plan, {.processes = options.processes,
-                                               .workers = runner.workers,
-                                               .batched = true})
-            : run_training_plan_batched(plan, {.workers = runner.workers});
+                                               .workers = runner.workers})
+            : run_training_plan(plan, {.workers = runner.workers});
 
     double reward_sum = 0.0;
     std::uint64_t round_decisions = 0;

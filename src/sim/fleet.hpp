@@ -13,10 +13,8 @@
 //     current aggregate (action values and tried masks; visit counts stay
 //     with the aggregate so historical experience is never double-counted
 //     across a shard's devices), with all devices of all shards fanned
-//     out across the runner's shared worker pool and advanced lock-step
-//     per worker through the SoA thermal batch stepper
-//     (run_training_plan_batched - a round's cells are homogeneous by
-//     construction);
+//     out across the runner's shared worker pool (run_training_plan, one
+//     whole device cell per task);
 //   * after each round a shard FedAvg-merges its previous aggregate with
 //     its devices' fresh deltas (visit-weighted);
 //   * shard s uploads to the global server every 1 + (s % sync_spread)
@@ -58,6 +56,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -353,6 +352,11 @@ void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapsh
 /// location. Version-window refusals do NOT quarantine: the file is valid,
 /// just written by a different release.
 [[nodiscard]] SnapshotReader read_snapshot_quarantining(const std::string& path);
+
+/// Renames the snapshot at `path` to `<path>.corrupt` and logs `reason`
+/// via common/log, so an unusable file cannot fail every restart. Returns
+/// false (and logs) when the rename itself fails.
+bool quarantine_snapshot(const std::string& path, std::string_view reason);
 
 /// Copy of `table` carrying its action values and tried masks but no visit
 /// mass. Warm-starting devices from this keeps historical visit mass

@@ -29,6 +29,33 @@ constexpr std::uint64_t kUploadFailSalt = 0xF41Cu;
 
 constexpr const char* kServerOptionsSection = "fleet_server_options";
 
+/// Checks a decoded ring entry against what this server could have written
+/// under `devices`: the restored arrays are indexed by device id and the
+/// pending uploads replay into later rounds, so counts, ids and rounds
+/// outside those bounds are rejected instead of trusted.
+void validate_ring_state(const FleetSnapshot& snap, std::size_t devices) {
+  const auto fail = [](const std::string& what) {
+    throw SerializeError("fleet-server ring entry: " + what);
+  };
+  const std::string want = " (expected " + std::to_string(devices) + ")";
+  if (snap.leases.size() != devices) {
+    fail(std::to_string(snap.leases.size()) + " device leases" + want);
+  }
+  if (snap.uploads.size() != devices) {
+    fail(std::to_string(snap.uploads.size()) + " device upload slots" + want);
+  }
+  for (const PendingUpload& p : snap.pending_uploads) {
+    if (p.device >= devices) {
+      fail("pending upload names device " + std::to_string(p.device) + " of " +
+           std::to_string(devices));
+    }
+    if (p.trained_round >= snap.next_round) {
+      fail("pending upload trained in round " + std::to_string(p.trained_round) +
+           ", not before the entry's next round " + std::to_string(snap.next_round));
+    }
+  }
+}
+
 SplitMix64 churn_stream(std::uint64_t seed, std::uint64_t salt, std::size_t round,
                         std::size_t device) {
   return SplitMix64{derive_seed(derive_seed(seed ^ salt, round), device)};
@@ -267,7 +294,18 @@ void FleetServer::restore_from_ring() {
                            "options (devices/timing/seeds/NextConfig/churn must all "
                            "match to resume bit-identically); refusing to resume");
     }
-    FleetSnapshot snap = read_fleet_state_sections(*reader);
+    // Semantic gate: the CRC only proves the bytes are the ones written, not
+    // that they describe a state this server could have produced. An entry
+    // that fails to decode or validate is quarantined exactly like a
+    // CRC-damaged one, and restore falls back to the next-newest slot.
+    FleetSnapshot snap;
+    try {
+      snap = read_fleet_state_sections(*reader);
+      if (snap.has_server_state) validate_ring_state(snap, options_.devices);
+    } catch (const SerializeError& e) {
+      if (quarantine_snapshot(path, e.what())) ++stats_.snapshots_quarantined;
+      continue;
+    }
     if (!snap.has_server_state) {
       throw SerializeError(path + ": fleet-server ring entry lacks the server_state "
                                   "section (written by an incompatible tool?)");
@@ -275,8 +313,6 @@ void FleetServer::restore_from_ring() {
     if (!best.has_value() || snap.next_round > best->next_round) best = std::move(snap);
   }
   if (!best.has_value()) return;  // cold start at round 0
-  NEXTGOV_ASSERT(best->leases.size() == options_.devices);
-  NEXTGOV_ASSERT(best->uploads.size() == options_.devices);
   round_ = best->next_round;
   clock_us_ = best->server_clock_us;
   leases_ = std::move(best->leases);
@@ -361,10 +397,10 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   rs.training_devices = trainees.size();
 
   // 3. Train every leased, non-departing device for round_duration of
-  //    simulated time - one homogeneous batched plan across the shared
-  //    worker pool, warm-started from the global aggregate (visit mass
-  //    stripped so historical experience is counted once, via the
-  //    aggregate, not once per device).
+  //    simulated time - one training plan across the shared worker pool,
+  //    warm-started from the global aggregate (visit mass stripped so
+  //    historical experience is counted once, via the aggregate, not once
+  //    per device).
   std::optional<rl::QTable> warm;
   if (last_aggregate_.has_value()) warm = strip_visit_mass(*last_aggregate_);
   TrainingPlan plan;
@@ -384,9 +420,8 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
       plan.empty() ? std::vector<TrainingResult>{}
       : options_.processes > 1
           ? run_training_plan_sharded(plan, {.processes = options_.processes,
-                                             .workers = runner_.workers,
-                                             .batched = true})
-          : run_training_plan_batched(plan, {.workers = runner_.workers});
+                                             .workers = runner_.workers})
+          : run_training_plan(plan, {.workers = runner_.workers});
   double reward_sum = 0.0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     reward_sum += results[i].final_mean_reward;

@@ -25,9 +25,9 @@
 //     Until then the staleness weighting simply ages its last accepted
 //     upload - the merge math already absorbs the gap;
 //   * training - every leased, non-departing device trains for
-//     round_duration of simulated device time (one batched plan through
-//     the SoA runner, warm-started from the current global aggregate with
-//     visit mass stripped - see strip_visit_mass);
+//     round_duration of simulated device time (one training plan across
+//     the runner's worker pool, warm-started from the current global
+//     aggregate with visit mass stripped - see strip_visit_mass);
 //   * uploads - each trained table travels as CRC-guarded snapshot bytes
 //     (the same serialize path train_fleet uses). A failed attempt (seeded
 //     draw; damage is a byte flip or truncation, always caught by the
@@ -47,8 +47,8 @@
 //     clock + counters, container version 2) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. Startup scans the ring, quarantines entries that fail
-//     CRC (renamed to `<path>.corrupt` via read_snapshot_quarantining) and
-//     restores from the newest valid one, so a kill -9 at any point loses
+//     CRC or semantic validation against the running options (renamed to
+//     `<path>.corrupt`) and restores from the newest valid one, so a kill -9 at any point loses
 //     at most the round in progress - and replaying that round from the
 //     boundary is bit-identical to never having died. Pinned by
 //     tests/sim/fleet_server_golden_test.cpp and the fleet_serverd CI

@@ -435,8 +435,7 @@ std::vector<SessionResult> run_plan_sharded(const RunPlan& plan, const Multiproc
       const SessionSpec& spec = plan.sessions()[i];
       slice.add(spec.app_factory, spec.name, spec.config);
     }
-    return options.batched ? run_plan_batched(slice, {.workers = options.workers})
-                           : run_plan(slice, {.workers = options.workers});
+    return run_plan(slice, {.workers = options.workers});
   };
   return run_sharded<SessionResult>(plan.size(), run_range, serialize_session_result,
                                     deserialize_session_result, options, report);
@@ -452,8 +451,7 @@ std::vector<TrainingResult> run_training_plan_sharded(const TrainingPlan& plan,
       const TrainingSpec& spec = plan.cells()[i];
       slice.add(spec.app_factory, spec.name, spec.config, spec.options);
     }
-    return options.batched ? run_training_plan_batched(slice, {.workers = options.workers})
-                           : run_training_plan(slice, {.workers = options.workers});
+    return run_training_plan(slice, {.workers = options.workers});
   };
   return run_sharded<TrainingResult>(plan.size(), run_range, serialize_training_result,
                                      deserialize_training_result, options, report);

@@ -5,13 +5,13 @@
 // across OS *processes*. run_plan_sharded() / run_training_plan_sharded()
 // fork N workers (plain fork + pipe - no MPI, no sockets, no external
 // dependency), give each a contiguous shard of the plan to run through the
-// existing runner (threaded or batched, per MultiprocOptions), and stream
+// existing threaded runner (run_plan / run_training_plan), and stream
 // every result back over the worker's pipe as length-prefixed,
 // CRC32-guarded frames encoded with common/serialize's ByteWriter. The
 // parent merges frames into plan order, so the merged vector is
-// *bit-identical* to the single-process path - the same determinism
-// contract (and the same gating) BatchRunner carries, asserted by
-// tests/sim/multiproc_test.cpp and the perf_multiproc bench gate.
+// *bit-identical* to the single-process path - the runner's determinism
+// contract, asserted by tests/sim/multiproc_test.cpp and the perf_multiproc
+// bench gate.
 //
 // Failure model: degrade, never wedge. A worker that dies (EOF before its
 // done frame, SIGKILL mid-stream), corrupts a frame (CRC mismatch, framing
@@ -66,11 +66,6 @@ struct MultiprocOptions {
   /// thread pools would only oversubscribe. Raise it when running few
   /// processes on a large host.
   std::size_t workers{1};
-  /// Route each shard through the batch-resident BatchRunner
-  /// (run_plan_batched / run_training_plan_batched) instead of the
-  /// per-session pool - bit-identical either way, so this only changes
-  /// throughput. train_fleet's `processes` knob sets it.
-  bool batched{false};
   MultiprocFaultPlan faults{};
 };
 

@@ -1,4 +1,4 @@
-// runner.hpp - the batch/parallel experiment + training runner.
+// runner.hpp - the parallel experiment + training runner.
 //
 // Every figure, ablation and example in this repo is a sweep of independent
 // cells: evaluation sweeps are (app x governor x seed x config) sessions
@@ -6,7 +6,9 @@
 // seed x budget) online-learning runs. The runner makes both declarative:
 // callers describe a RunPlan or a TrainingPlan, and run_plan() /
 // run_training_plan() execute it across one shared worker pool
-// (run_indexed_tasks), returning results in plan order.
+// (run_indexed_tasks), returning results in plan order. Each task is one
+// whole cell, stepped through Engine::step() from start to finish - the
+// runner's only way to advance a session.
 //
 // Determinism contract: a cell's entire trajectory is a function of its
 // spec (the engine holds no global state, and every stochastic element
@@ -63,7 +65,7 @@ struct SessionSpec {
   ExperimentConfig config;
 };
 
-/// Declarative batch of sessions. Build with add()/add_grid(), execute with
+/// Declarative set of sessions. Build with add()/add_grid(), execute with
 /// run_plan().
 class RunPlan {
  public:
@@ -102,7 +104,7 @@ struct TrainingSpec {
   TrainingOptions options;
 };
 
-/// Declarative batch of (app x NextConfig x seed x budget) training cells,
+/// Declarative set of (app x NextConfig x seed x budget) training cells,
 /// mirroring RunPlan. Build with add()/add_seed_sweep(), execute with
 /// run_training_plan(). The figure benches route *all* their agent
 /// training through this (one agent per cell trains concurrently instead
@@ -134,80 +136,6 @@ class TrainingPlan {
 /// plan order, bit-identical to serial execution (wall_seconds excepted).
 [[nodiscard]] std::vector<TrainingResult> run_training_plan(const TrainingPlan& plan,
                                                             const RunnerOptions& options = {});
-
-// --- batched (structure-of-arrays) lock-step execution ---------------------
-
-/// Wall-clock accumulated per phase of the batch-resident lock-step loop,
-/// in seconds, summed over all lock-step batches of a run (batches that
-/// fall back to per-session stepping contribute nothing). The
-/// perf_thermal_batch bench compares these against the same phases timed
-/// around serial stepping to attribute the batch-vs-serial ratio.
-struct BatchPhaseTimings {
-  double pre_s{0.0};      ///< app/render/load pre-phases
-  double power_s{0.0};    ///< PowerBatch input push + [cluster][session] sweep
-  double thermal_s{0.0};  ///< RcBatch SoA solve
-  double observe_s{0.0};  ///< observation refresh + sample + kernel governor
-  double post_s{0.0};     ///< meta control (incl. grouped Q-step) + throttle/totals/record
-  double scatter_s{0.0};  ///< batch entry/exit gather + scatter (boundaries only)
-  std::int64_t ticks{0};  ///< engine-ticks x sessions advanced lock-step
-};
-
-struct BatchOptions {
-  /// Worker threads; 0 = one per hardware thread (RunnerOptions semantics).
-  std::size_t workers{0};
-  /// Max sessions one worker advances lock-step in a shared thermal
-  /// RcBatch. 0 = size batches automatically: the plan is split evenly
-  /// across the workers, capped so per-worker engine memory stays bounded,
-  /// and shares too narrow for the SoA sweep to pay (< 4 sessions)
-  /// degenerate to the per-session path. A nonzero value is honored as
-  /// given (lock-step even for narrow batches).
-  std::size_t max_batch{0};
-  /// When set, every lock-step batch accumulates per-phase wall time here
-  /// (merged under a lock once per batch, so the hot loop pays only the
-  /// clock reads). Leave null outside measurement runs.
-  BatchPhaseTimings* phase_timings{nullptr};
-};
-
-/// Lock-step session advancement over the SoA batch steppers
-/// (thermal/rc_batch.hpp + soc/power_batch.hpp). Where run_plan()/
-/// run_training_plan() give every worker one whole session at a time, the
-/// BatchRunner gives every worker a *group* of homogeneous sessions that
-/// stays *batch-resident* between ticks: each engine parks its thermal
-/// state in an RcBatch lane at batch entry (Engine::attach_thermal_batch),
-/// and every tick runs as phase sweeps across the group - app/render
-/// pre-phases, one [cluster][session] power sweep writing straight into the
-/// thermal power lanes, one SoA thermal solve, observation refresh reading
-/// the temperature lanes in place, and grouped NextAgent control points
-/// (core::NextAgent::control_group). Temperatures scatter back only at
-/// batch exit. Results are bit-identical to run_plan()/run_training_plan()
-/// (and therefore to serial execution) because every sweep reproduces each
-/// session's per-step arithmetic exactly - asserted by
-/// tests/sim/runner_test.cpp, tests/sim/batch_resident_test.cpp and the
-/// perf_thermal_batch bench.
-///
-/// Grouping requires lock-step compatibility: run plans group by duration,
-/// training plans by (max_duration, episode_length) with
-/// stop_at_convergence unset (early-stopping cells have data-dependent
-/// control flow). Cells that don't fit a group - or whose engines turn out
-/// to use a different topology or step - fall back to the existing
-/// per-session path. A ScenarioMatrix sweeps batched by expanding it first:
-/// run_plan_batched(matrix.to_run_plan(governor)).
-class BatchRunner {
- public:
-  explicit BatchRunner(BatchOptions options = {}) : options_{options} {}
-
-  [[nodiscard]] std::vector<SessionResult> run(const RunPlan& plan) const;
-  [[nodiscard]] std::vector<TrainingResult> run(const TrainingPlan& plan) const;
-
- private:
-  BatchOptions options_;
-};
-
-/// Convenience wrappers mirroring run_plan()/run_training_plan().
-[[nodiscard]] std::vector<SessionResult> run_plan_batched(const RunPlan& plan,
-                                                          const BatchOptions& options = {});
-[[nodiscard]] std::vector<TrainingResult> run_training_plan_batched(
-    const TrainingPlan& plan, const BatchOptions& options = {});
 
 /// Stateless SplitMix64-style seed derivation for grid sweeps: gives every
 /// (base, index) pair an independent, reproducible stream. Used by

@@ -21,12 +21,7 @@ Watts leakage_power(const Cluster& cluster, Celsius temp) noexcept {
 }
 
 Watts cluster_power(const Cluster& cluster, const ClusterLoad& load, Celsius temp) noexcept {
-  // Routed through the shared coefficient-form expression so the batched
-  // sweep (PowerBatch) evaluates bit-identical powers by construction.
-  return Watts{cluster_power_from_coeffs(cluster.dyn_power_coeff_w(),
-                                         cluster.leak_power_coeff_w(),
-                                         cluster.power_params().leak_temp_beta,
-                                         load.busy_avg, temp.value())};
+  return dynamic_power(cluster, load.busy_avg) + leakage_power(cluster, temp);
 }
 
 }  // namespace nextgov::soc

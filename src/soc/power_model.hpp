@@ -13,9 +13,6 @@
 // absolute magnitudes land in the 1-12 W envelope the paper reports.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/units.hpp"
 #include "soc/cluster.hpp"
 
@@ -28,21 +25,6 @@ struct ClusterLoad {
   /// Busy fraction of the busiest PE in [0,1] (drives frequency governors).
   double busy_hot{0.0};
 };
-
-/// The one definition of the per-cluster power expression, in raw
-/// coefficient form. Both the scalar path (cluster_power below, via the
-/// Cluster's current-OPP coefficients) and the batched path
-/// (PowerBatch::evaluate's [cluster][session] sweep) inline this exact
-/// function, so the two can never drift in floating-point shape - the
-/// engine-level bit-identity contract of sim::BatchRunner rests on it.
-[[nodiscard]] inline double cluster_power_from_coeffs(double dyn_coeff_w, double leak_coeff_w,
-                                                      double leak_temp_beta, double busy_avg,
-                                                      double temp_c) noexcept {
-  const double util = std::clamp(busy_avg, 0.0, 1.0);
-  const double dyn = dyn_coeff_w * util;
-  const double leak = leak_coeff_w * std::exp(leak_temp_beta * (temp_c - 25.0));
-  return dyn + leak;
-}
 
 /// Dynamic (switching) power of `cluster` at mean utilization `busy_avg`.
 [[nodiscard]] Watts dynamic_power(const Cluster& cluster, double busy_avg) noexcept;

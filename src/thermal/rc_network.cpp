@@ -211,11 +211,6 @@ void RcNetwork::set_all_temperatures(Celsius t) noexcept {
   std::fill(temp_.begin(), temp_.end(), t.value());
 }
 
-void RcNetwork::set_temperatures_raw(std::span<const double> temps) {
-  require(temps.size() == temp_.size(), "set_temperatures_raw: size mismatch");
-  std::copy(temps.begin(), temps.end(), temp_.begin());
-}
-
 std::vector<Celsius> RcNetwork::steady_state() const {
   // Solve A * T = b where A is the cached pristine system and
   // b = P + G_amb * T_amb.

@@ -23,8 +23,6 @@
 //     incrementally (add_node/connect) own a private topology that is
 //     (re)built lazily; mutating a network that shares its topology copies
 //     the structure first, so sharing never changes another session.
-//   * rc_batch.hpp steps many same-topology sessions in one
-//     structure-of-arrays sweep, bit-identical to per-session step().
 //
 // steady_state() solves the linear system directly (Gaussian elimination,
 // networks are tiny) and is used for calibration and property tests.
@@ -61,8 +59,7 @@ struct RcEdgeSpec {
 /// The immutable, shareable solver structure: node/edge specs plus every
 /// precomputed view the steppers need. Build once (directly or via
 /// RcNetwork's incremental add_node/connect), share across sessions with
-/// std::shared_ptr<const RcTopology>; per-session state lives in RcNetwork
-/// (or, batched, in RcBatch).
+/// std::shared_ptr<const RcTopology>; per-session state lives in RcNetwork.
 class RcTopology {
  public:
   /// Validates and precomputes; throws ConfigError on invalid parameters
@@ -156,18 +153,13 @@ class RcNetwork {
   /// Largest stable explicit-Euler step for the current topology [s].
   [[nodiscard]] double max_stable_dt_seconds() const noexcept;
 
-  /// The (lazily built) topology this session's state lives on. Two
-  /// networks batch-step together iff their topology pointers are equal.
+  /// The (lazily built) topology this session's state lives on. Networks
+  /// built from the same device share one pointer.
   [[nodiscard]] const std::shared_ptr<const RcTopology>& topology() const;
 
-  /// The batch stepper's bulk scatter writes temperatures directly.
-  friend class RcBatch;
-
-  // Raw state views for the batch stepper's gather/scatter (node order).
+  /// Raw node temperatures in node order (the engine's per-tick sensor
+  /// read, without a Celsius wrapper per node).
   [[nodiscard]] std::span<const double> temperatures_raw() const noexcept { return temp_; }
-  [[nodiscard]] std::span<const double> powers_raw() const noexcept { return power_; }
-  /// Overwrites every node temperature (batch scatter; size must match).
-  void set_temperatures_raw(std::span<const double> temps);
 
  private:
   /// (Re)builds the private topology after incremental mutation. Const

@@ -21,7 +21,11 @@ std::string read_all(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/nextgov_csv_test.csv";
+  // One file per test case: ctest runs every case in its own process, so a
+  // shared path would let concurrent cases overwrite each other's file.
+  const ::testing::TestInfo* test_ = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string path_ = ::testing::TempDir() + "/nextgov_csv_" + test_->test_suite_name() + "_" +
+                      test_->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

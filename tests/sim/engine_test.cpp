@@ -7,6 +7,8 @@
 #include "governors/schedutil.hpp"
 #include "governors/simple_governors.hpp"
 #include "sim/engine.hpp"
+#include "sim/experiment.hpp"
+#include "sim/scenario.hpp"
 #include "workload/apps.hpp"
 
 namespace nextgov::sim {
@@ -145,6 +147,53 @@ TEST(Engine, FpsObservationMatchesPresentedFrames) {
   // Average FPS derived from totals must be in the same band as the
   // instantaneous observation for a steady 30 FPS video.
   EXPECT_NEAR(e->average_fps(), 30.0, 5.0);
+}
+
+TEST(Engine, PhaseSplitComposesToStep) {
+  // External callers (nxbench's layer ledger) time each layer by calling
+  // the phases one by one; that is only sound if their concatenation is
+  // exactly step(). Run each engine kind through both paths and demand a
+  // bitwise-equal summary: a deployed Next session and a training-mode
+  // engine, which also learns and explores at every control point.
+  ScenarioSpec spec = scenario("fig1_session");
+  spec.duration = 2_s;
+  const ExperimentConfig config = spec.experiment_config(GovernorKind::kNext);
+  TrainingOptions training;
+  training.seed = 7;
+  const auto build = [&](bool train) {
+    return train ? make_training_engine(spec.app_factory(), core::NextConfig{}, training)
+                 : make_engine(spec.app_factory(), config);
+  };
+  for (const bool train : {false, true}) {
+    SCOPED_TRACE(train ? "training engine" : "deployed engine");
+    auto phased = build(train);
+    auto stepped = build(train);
+    const SimTime dt = phased->config().step;
+    const std::int64_t ticks = spec.duration.us() / dt.us();
+    for (std::int64_t t = 0; t < ticks; ++t) {
+      phased->step_pre_power();
+      phased->apply_power_model();
+      phased->thermal().step(dt);
+      phased->step_post_observe();
+      if (phased->meta_control_due()) phased->step_post_meta();
+      phased->step_post_finish();
+      stepped->step();
+    }
+    EXPECT_TRUE(bit_identical(summarize(*phased, "app", "gov"),
+                              summarize(*stepped, "app", "gov")));
+    EXPECT_EQ(phased->now().us(), stepped->now().us());
+    if (train) {
+      const auto* a = phased->next_agent();
+      const auto* b = stepped->next_agent();
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
+      EXPECT_GT(a->decisions(), 0u);
+      EXPECT_EQ(a->decisions(), b->decisions());
+      EXPECT_EQ(a->mean_reward(), b->mean_reward());
+      EXPECT_EQ(a->q_table().state_count(), b->q_table().state_count());
+      EXPECT_EQ(a->q_table().total_visits(), b->q_table().total_visits());
+    }
+  }
 }
 
 }  // namespace

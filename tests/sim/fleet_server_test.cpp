@@ -1,17 +1,20 @@
 // Tests for the long-running fleet server (sim/fleet_server.hpp): options
 // validation, determinism across worker counts under churn, straggler
 // carry-over, retry/loss accounting, lease departure bookkeeping, and the
-// snapshot ring (rotation, corrupt-entry quarantine + fallback, options
-// identity, cold start). The kill -9 bit-identity contract itself lives in
-// tests/sim/fleet_server_golden_test.cpp.
+// snapshot ring (rotation, corrupt- and invalid-entry quarantine +
+// fallback, options identity, cold start). The kill -9 bit-identity
+// contract itself lives in tests/sim/fleet_server_golden_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/serialize.hpp"
+#include "sim/fleet.hpp"
 #include "sim/fleet_server.hpp"
 
 namespace nextgov::sim {
@@ -236,6 +239,71 @@ TEST(FleetServerRing, CorruptNewestEntryIsQuarantinedAndOlderOneRestores) {
   resumed.run_rounds(2);
   ASSERT_NE(resumed.global(), nullptr);
   EXPECT_EQ(canonical_bytes(*resumed.global()), want);
+}
+
+TEST(FleetServerRing, WellFormedButWrongNewestEntryIsQuarantinedAndOlderOneRestores) {
+  // A CRC-valid entry whose contents this server could never have written
+  // must be quarantined like a damaged one, not trusted: a pending upload
+  // naming an unknown device would be indexed out of bounds next round,
+  // and a lease/upload count mismatch would abort the restore.
+  const std::string source = ring_prefix("semantic_src");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 3;
+  options.snapshot_prefix = source;
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+    server.run_rounds(2);  // round 1 -> slot 1, round 2 -> slot 2 (newest)
+  }
+  struct Mutation {
+    const char* name;
+    std::function<void(FleetSnapshot&)> apply;
+  };
+  const std::vector<Mutation> mutations = {
+      {"pending_unknown_device",
+       [](FleetSnapshot& s) {
+         s.pending_uploads.push_back(PendingUpload{1000000, 0, 0, 0, *s.last_aggregate});
+       }},
+      {"pending_future_round",
+       [](FleetSnapshot& s) {
+         s.pending_uploads.push_back(PendingUpload{0, s.next_round, 0, 0, *s.last_aggregate});
+       }},
+      {"extra_lease", [](FleetSnapshot& s) { s.leases.push_back(DeviceLease{}); }},
+      {"missing_upload_slot",
+       [](FleetSnapshot& s) {
+         // The per-device arrays shrink together (the writer requires it).
+         s.uploads.pop_back();
+         s.shard_tables.pop_back();
+         s.shard_last_upload.pop_back();
+       }},
+  };
+  for (const Mutation& m : mutations) {
+    SCOPED_TRACE(m.name);
+    const std::string prefix = ring_prefix(std::string{"semantic_"} + m.name);
+    std::filesystem::copy_file(source + ".1", prefix + ".1");
+
+    const SnapshotReader newest = SnapshotReader::from_file(source + ".2");
+    FleetSnapshot state = read_fleet_state_sections(newest);
+    ASSERT_EQ(state.next_round, 2u);
+    ASSERT_TRUE(state.last_aggregate.has_value());
+    m.apply(state);
+    SnapshotWriter resealed;
+    ByteReader stored_options = newest.section("fleet_server_options");
+    ByteWriter& options_out = resealed.section("fleet_server_options");
+    while (!stored_options.done()) options_out.u8(stored_options.u8());
+    write_fleet_state_sections(resealed, state);
+    resealed.write_file(prefix + ".2");
+
+    FleetServerOptions resume = options;
+    resume.snapshot_prefix = prefix;
+    FleetServer resumed{workload::AppId::kFacebook, resume, {.workers = 2}};
+    EXPECT_TRUE(resumed.restored());
+    EXPECT_EQ(resumed.round(), 1u);
+    EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".2"));
+    EXPECT_TRUE(std::filesystem::exists(prefix + ".2.corrupt"));
+    resumed.run_rounds(1);  // the restored state must be runnable
+    EXPECT_EQ(resumed.round(), 2u);
+  }
 }
 
 TEST(FleetServerRing, DifferentOptionsRefuseToResume) {

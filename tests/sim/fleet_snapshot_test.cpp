@@ -45,7 +45,11 @@ class FleetSnapshotFile : public ::testing::Test {
     std::remove(path_.c_str());
     std::remove((path_ + ".corrupt").c_str());
   }
-  std::string path_ = ::testing::TempDir() + "/nextgov_fleet_snapshot_test.bin";
+  // One file per test case: ctest runs every case in its own process, so a
+  // shared path would let concurrent cases overwrite each other's file.
+  const ::testing::TestInfo* test_ = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string path_ = ::testing::TempDir() + "/nextgov_fleet_snapshot_" + test_->test_suite_name() + "_" +
+                      test_->name() + ".bin";
   FleetOptions options_{};  // defaults are fine; only identity matters here
 };
 

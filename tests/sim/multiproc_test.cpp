@@ -168,14 +168,6 @@ TEST(Multiproc, CorruptFrameShardIsRerunBitIdentically) {
       << "failure was: " << report.shards[1].failure;
 }
 
-TEST(Multiproc, BatchedShardsBitIdentical) {
-  const RunPlan plan = short_matrix().to_run_plan(GovernorKind::kSchedutil);
-  const std::vector<SessionResult> reference = run_plan(plan, {.workers = 1});
-  const std::vector<SessionResult> results =
-      run_plan_sharded(plan, {.processes = 2, .batched = true});
-  expect_all_bit_identical(reference, results);
-}
-
 TEST(Multiproc, TrainingPlanShardedBitIdentical) {
   TrainingPlan plan;
   TrainingOptions opts;

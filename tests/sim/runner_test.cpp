@@ -111,77 +111,6 @@ TEST(Runner, PropagatesSessionFailure) {
   EXPECT_THROW((void)run_plan(plan, {.workers = 2}), ConfigError);
 }
 
-TEST(BatchRunner, BatchedPlanIsBitIdenticalToRunPlan) {
-  // Mixed governors/apps/seeds AND mixed durations: the duration split
-  // produces several lock-step groups plus batching/fallback boundaries,
-  // all of which must reproduce run_plan() exactly.
-  RunPlan plan = small_grid();
-  ExperimentConfig odd;
-  odd.duration = SimTime::from_seconds(3.0);
-  odd.governor = GovernorKind::kNext;
-  odd.seed = 77;
-  plan.add(workload::AppId::kPubg, odd);
-  const auto reference = run_plan(plan, {.workers = 1});
-  for (const std::size_t max_batch : {std::size_t{0}, std::size_t{1}, std::size_t{5}}) {
-    SCOPED_TRACE(max_batch);
-    const auto batched = run_plan_batched(plan, {.workers = 3, .max_batch = max_batch});
-    ASSERT_EQ(batched.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      SCOPED_TRACE(i);
-      expect_bit_identical(reference[i], batched[i]);
-    }
-  }
-}
-
-TEST(BatchRunner, BatchedTrainingIsBitIdenticalToTrainingPlan) {
-  TrainingPlan plan;
-  TrainingOptions base;
-  base.max_duration = SimTime::from_seconds(20.0);
-  base.episode_length = SimTime::from_seconds(8.0);
-  plan.add_seed_sweep(workload::AppId::kFacebook, core::NextConfig{}, base, 3, 5);
-  // A heterogeneous straggler (different budget) and an early-stopping
-  // cell: both must route through the per-cell fallback inside the same
-  // batched call.
-  TrainingOptions longer = base;
-  longer.max_duration = SimTime::from_seconds(12.0);
-  plan.add(workload::AppId::kLineage, core::NextConfig{}, longer);
-  TrainingOptions stopper = base;
-  stopper.stop_at_convergence = true;
-  plan.add(workload::AppId::kFacebook, core::NextConfig{}, stopper);
-
-  const auto reference = run_training_plan(plan, {.workers = 1});
-  // Explicit max_batch forces the lock-step trainer for the homogeneous
-  // cells (auto sizing would degenerate shares this small to the
-  // per-cell path).
-  const auto batched = run_training_plan_batched(plan, {.workers = 2, .max_batch = 8});
-  ASSERT_EQ(batched.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    SCOPED_TRACE(i);
-    const auto& a = reference[i];
-    const auto& b = batched[i];
-    EXPECT_EQ(a.converged, b.converged);
-    EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-    EXPECT_EQ(a.decisions, b.decisions);
-    EXPECT_EQ(a.final_mean_reward, b.final_mean_reward);
-    EXPECT_EQ(a.states_visited, b.states_visited);
-    ASSERT_EQ(a.table.state_count(), b.table.state_count());
-    EXPECT_EQ(a.table.total_visits(), b.table.total_visits());
-    a.table.for_each_entry([&](const rl::QTable::EntryView& ea) {
-      ASSERT_TRUE(b.table.contains(ea.key())) << "state " << ea.key();
-      EXPECT_EQ(ea.visits(), b.table.visits(ea.key()));
-      EXPECT_EQ(ea.tried(), b.table.tried_mask(ea.key()));
-      for (std::size_t q = 0; q < a.table.action_count(); ++q) {
-        EXPECT_EQ(ea.q(q), b.table.q(ea.key(), q)) << "state " << ea.key() << " action " << q;
-      }
-    });
-  }
-}
-
-TEST(BatchRunner, EmptyPlansReturnEmpty) {
-  EXPECT_TRUE(run_plan_batched(RunPlan{}).empty());
-  EXPECT_TRUE(run_training_plan_batched(TrainingPlan{}).empty());
-}
-
 TEST(Runner, DeriveSeedIsDeterministicAndSpreads) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 1000; ++i) {

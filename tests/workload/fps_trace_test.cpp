@@ -12,7 +12,11 @@ namespace {
 class FpsTraceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/nextgov_trace_test.csv";
+  // One file per test case: ctest runs every case in its own process, so a
+  // shared path would let concurrent cases overwrite each other's file.
+  const ::testing::TestInfo* test_ = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string path_ = ::testing::TempDir() + "/nextgov_trace_" + test_->test_suite_name() + "_" +
+                      test_->name() + ".csv";
 };
 
 TEST_F(FpsTraceTest, RoundTripsThroughCsv) {
