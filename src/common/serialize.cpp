@@ -10,27 +10,42 @@ namespace nextgov {
 
 namespace {
 
-/// CRC-32 lookup table for the reflected IEEE polynomial 0xEDB88320,
-/// generated once at static-init time (256 * 8 shifts, negligible).
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 CRC-32 tables for the reflected IEEE polynomial
+/// 0xEDB88320, built at compile time. kCrcTables[0] is the classic bytewise
+/// table; kCrcTables[k][i] advances kCrcTables[k - 1][i] by one more zero
+/// byte, so eight lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
-}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::uint32_t crc32_accumulate(std::uint32_t crc,
                                std::span<const std::uint8_t> data) noexcept {
-  const auto& table = crc_table();
-  for (const std::uint8_t byte : data) crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ load_u32(p);
+    const std::uint32_t hi = load_u32(p + 4);
+    crc = kCrcTables[7][lo & 0xFFu] ^ kCrcTables[6][(lo >> 8) & 0xFFu] ^
+          kCrcTables[5][(lo >> 16) & 0xFFu] ^ kCrcTables[4][lo >> 24] ^
+          kCrcTables[3][hi & 0xFFu] ^ kCrcTables[2][(hi >> 8) & 0xFFu] ^
+          kCrcTables[1][(hi >> 16) & 0xFFu] ^ kCrcTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) crc = kCrcTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc;
 }
 
@@ -61,20 +76,9 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
 // --- ByteWriter -------------------------------------------------------------
 
 void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
+  std::uint8_t* p = extend(2);
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
 void ByteWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
@@ -108,6 +112,13 @@ void ByteReader::skip(std::size_t n) {
   pos_ += n;
 }
 
+const std::uint8_t* ByteReader::take(std::size_t n) {
+  need(n);
+  const std::uint8_t* p = data_.data() + pos_;
+  pos_ += n;
+  return p;
+}
+
 std::uint8_t ByteReader::u8() {
   need(1);
   return data_[pos_++];
@@ -121,21 +132,9 @@ std::uint16_t ByteReader::u16() {
   return v;
 }
 
-std::uint32_t ByteReader::u32() {
-  need(4);
-  const std::uint32_t v = static_cast<std::uint32_t>(data_[pos_]) |
-                          static_cast<std::uint32_t>(data_[pos_ + 1]) << 8 |
-                          static_cast<std::uint32_t>(data_[pos_ + 2]) << 16 |
-                          static_cast<std::uint32_t>(data_[pos_ + 3]) << 24;
-  pos_ += 4;
-  return v;
-}
+std::uint32_t ByteReader::u32() { return load_u32(take(4)); }
 
-std::uint64_t ByteReader::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | hi << 32;
-}
+std::uint64_t ByteReader::u64() { return load_u64(take(8)); }
 
 float ByteReader::f32() { return std::bit_cast<float>(u32()); }
 
@@ -165,28 +164,44 @@ ByteWriter& SnapshotWriter::section(std::string name) {
   return sections_.back().payload;
 }
 
-std::vector<std::uint8_t> SnapshotWriter::bytes() const {
-  ByteWriter out;
-  out.u32(kSnapshotMagic);
-  out.u32(kSnapshotVersion);
-  out.u32(static_cast<std::uint32_t>(sections_.size()));
+template <typename Emit>
+void SnapshotWriter::emit(Emit&& out) const {
+  ByteWriter head;
+  head.u32(kSnapshotMagic);
+  head.u32(kSnapshotVersion);
+  head.u32(static_cast<std::uint32_t>(sections_.size()));
+  out(std::span<const std::uint8_t>{head.data()});
   for (const Section& s : sections_) {
-    out.str(s.name);
-    out.u64(s.payload.size());
-    out.u32(section_crc(kSnapshotVersion, s.payload.data()));
-    out.bytes(s.payload.data());
+    ByteWriter frame;
+    frame.str(s.name);
+    frame.u64(s.payload.size());
+    frame.u32(section_crc(kSnapshotVersion, s.payload.data()));
+    out(std::span<const std::uint8_t>{frame.data()});
+    out(std::span<const std::uint8_t>{s.payload.data()});
   }
-  return out.data();
+}
+
+std::vector<std::uint8_t> SnapshotWriter::bytes() const {
+  std::size_t total = 12;  // magic + version + section count
+  for (const Section& s : sections_) total += 16 + s.name.size() + s.payload.size();
+  std::vector<std::uint8_t> blob;
+  blob.reserve(total);
+  emit([&](std::span<const std::uint8_t> part) {
+    blob.insert(blob.end(), part.begin(), part.end());
+  });
+  return blob;
 }
 
 void SnapshotWriter::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> blob = bytes();
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out{tmp, std::ios::binary | std::ios::trunc};
     if (!out) throw IoError("cannot open snapshot for writing: " + tmp);
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
+    emit([&](std::span<const std::uint8_t> part) {
+      out.write(reinterpret_cast<const char*>(part.data()),
+                static_cast<std::streamsize>(part.size()));
+    });
+    out.flush();
     if (!out) throw IoError("failed writing snapshot: " + tmp);
   }
   // POSIX rename atomically replaces `path`: a reader sees either the old

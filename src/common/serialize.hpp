@@ -43,15 +43,44 @@ class SerializeError : public IoError {
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant): crc32 of
 /// "123456789" is 0xCBF43926. Detects all single-byte corruptions and any
 /// truncation the length fields miss.
+///
+/// Cost model: slicing-by-8 - eight bytes per step through eight
+/// compile-time 256-entry tables (8 KiB), about a byte per cycle, so
+/// checksumming a multi-MB fleet snapshot is ~1 ms rather than the ~7 ms of
+/// a byte-at-a-time table walk. Input is read with shifts, never a word
+/// load, so the result does not depend on host byte order.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
 
+/// Little-endian stores/loads at a raw position. Byte shifts keep the
+/// encoding identical on every host; compilers fuse them into one move.
+inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+inline void store_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+[[nodiscard]] inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint64_t>(load_u32(p)) |
+         static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
+}
+
 /// Appends fixed-width little-endian primitives to a growable byte buffer.
+/// Each value grows the buffer once; bulk encoders (Q-table rows) size a
+/// whole block with extend() and fill it through store_u32/store_u64.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { store_u32(extend(4), v); }
+  void u64(std::uint64_t v) { store_u64(extend(8), v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f32(float v);   ///< IEEE-754 bit pattern, bit-exact round trip
   void f64(double v);  ///< IEEE-754 bit pattern, bit-exact round trip
@@ -59,6 +88,13 @@ class ByteWriter {
   /// Length-prefixed (u32) UTF-8 bytes.
   void str(std::string_view s);
   void bytes(std::span<const std::uint8_t> data);
+  /// Appends `n` bytes (zeroed) and returns where they start; the pointer
+  /// is invalidated by the next write.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
@@ -87,6 +123,9 @@ class ByteReader {
 
   /// Skips `n` payload bytes (bounds-checked like every read).
   void skip(std::size_t n);
+  /// Consumes `n` bytes with one bounds check and returns where they start
+  /// (for bulk decoders reading through load_u32/load_u64).
+  [[nodiscard]] const std::uint8_t* take(std::size_t n);
 
   [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
@@ -135,7 +174,9 @@ class SnapshotWriter {
 
   /// Writes the container to `path` atomically (temp file + rename), so a
   /// crash mid-write can never leave a half-written snapshot at `path`.
-  /// Throws IoError on filesystem failure.
+  /// The header and each section stream straight from their payload
+  /// buffers; the file is never assembled in memory first. Throws IoError
+  /// on filesystem failure.
   void write_file(const std::string& path) const;
 
  private:
@@ -143,6 +184,10 @@ class SnapshotWriter {
     std::string name;
     ByteWriter payload;
   };
+  /// Emits the container as a run of byte spans (the single definition of
+  /// the layout that bytes() and write_file() share).
+  template <typename Emit>
+  void emit(Emit&& out) const;
   std::vector<Section> sections_;
 };
 

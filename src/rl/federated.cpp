@@ -1,7 +1,9 @@
 #include "rl/federated.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -20,45 +22,66 @@ QTable merge_impl(std::span<const QTable* const> tables,
     require(t->action_count() == actions, "merge_q_tables: action count mismatch");
   }
 
-  QTable merged{actions};
-  // Accumulate visit-weighted sums per (state, action). Only actions a
-  // device actually *tried* contribute - untried entries still carry the
-  // optimistic initialization value and must not pollute the average.
-  struct Acc {
-    std::vector<double> weighted_q;
-    std::vector<double> weight;
-    double visits{0.0};
-  };
-  std::unordered_map<StateKey, Acc> acc;
+  // Each table's entries in ascending key order; a k-way merge over these
+  // visits every distinct state once, and for each state adds the tables'
+  // contributions in table order - the same summation order (hence the
+  // same bits) as accumulating table by table. No hash map and no per-state
+  // allocation: the accumulators are reused from state to state.
+  std::vector<std::vector<QTable::EntryView>> entries(tables.size());
   for (std::size_t ti = 0; ti < tables.size(); ++ti) {
-    const QTable* t = tables[ti];
-    const double tw = table_weight[ti];
-    t->for_each_entry([&](const QTable::EntryView& e) {
-      auto [it, inserted] = acc.try_emplace(e.key());
-      if (inserted) {
-        it->second.weighted_q.assign(actions, 0.0);
-        it->second.weight.assign(actions, 0.0);
-      }
-      // Visit count + 1 so tables with zero recorded visits still count.
-      const double w = tw * (static_cast<double>(e.visits()) + 1.0);
-      for (std::size_t a = 0; a < actions && a < 32; ++a) {
-        if ((e.tried() & (1u << a)) == 0) continue;
-        it->second.weighted_q[a] += w * static_cast<double>(e.q(a));
-        it->second.weight[a] += w;
-      }
-      it->second.visits += tw * static_cast<double>(e.visits());
-    });
+    entries[ti].reserve(tables[ti]->state_count());
+    tables[ti]->for_each_entry([&](const QTable::EntryView& e) { entries[ti].push_back(e); });
   }
-  for (const auto& [key, a] : acc) {
-    for (std::size_t action = 0; action < actions; ++action) {
-      if (a.weight[action] > 0.0) {
-        merged.set_q(key, action, a.weighted_q[action] / a.weight[action]);
+  const std::uint32_t lanes = actions >= 32 ? ~0u : (1u << actions) - 1;  // tried-mask bits in use
+  std::vector<std::size_t> cursor(tables.size(), 0);
+  std::vector<double> weighted_q(actions);
+  std::vector<double> weight(actions);
+  std::vector<float> row(actions);
+
+  QTable merged{actions};
+  for (;;) {
+    bool any = false;
+    StateKey key = 0;
+    for (std::size_t ti = 0; ti < tables.size(); ++ti) {
+      if (cursor[ti] == entries[ti].size()) continue;
+      const StateKey k = entries[ti][cursor[ti]].key();
+      if (!any || k < key) key = k;
+      any = true;
+    }
+    if (!any) break;
+
+    std::fill(weighted_q.begin(), weighted_q.end(), 0.0);
+    std::fill(weight.begin(), weight.end(), 0.0);
+    double visits = 0.0;
+    for (std::size_t ti = 0; ti < tables.size(); ++ti) {
+      if (cursor[ti] == entries[ti].size() || entries[ti][cursor[ti]].key() != key) continue;
+      const QTable::EntryView& e = entries[ti][cursor[ti]++];
+      const double tw = table_weight[ti];
+      // Only actions a device actually *tried* contribute - untried
+      // entries still carry the optimistic initialization value and must
+      // not pollute the average. Visit count + 1 so tables with zero
+      // recorded visits still count.
+      const double w = tw * (static_cast<double>(e.visits()) + 1.0);
+      for (std::uint32_t m = e.tried() & lanes; m != 0; m &= m - 1) {
+        const auto a = static_cast<std::size_t>(std::countr_zero(m));
+        weighted_q[a] += w * static_cast<double>(e.q(a));
+        weight[a] += w;
+      }
+      visits += tw * static_cast<double>(e.visits());
+    }
+
+    std::uint32_t tried = 0;
+    for (std::size_t a = 0; a < actions; ++a) {
+      row[a] = 0.0f;  // merged's default_q for actions no device tried
+      if (weight[a] > 0.0) {
+        row[a] = static_cast<float>(weighted_q[a] / weight[a]);
+        tried |= 1u << a;
       }
     }
     // Staleness-discounted visit mass rounds to the nearest count, so the
     // merged table's own weight in later (hierarchical) merges reflects
     // how much *fresh* experience actually backs it.
-    merged.add_visits(key, static_cast<std::uint64_t>(std::llround(a.visits)));
+    merged.install_entry(key, static_cast<std::uint64_t>(std::llround(visits)), tried, row);
   }
   return merged;
 }

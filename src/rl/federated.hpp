@@ -29,6 +29,13 @@ namespace nextgov::rl {
 /// Visit-weighted average of several Q-tables (all must share the action
 /// count). States unknown to a device contribute weight 0 for that device.
 /// With a single table this is the identity.
+///
+/// Cost: one key-ordered pass per table (QTable::for_each_entry), then a
+/// k-way merge over those k sorted runs - O(k) per distinct state to find
+/// the next key, accumulators reused across states, no hash map and no
+/// per-state allocation. Each state's sums add the tables' contributions in
+/// table order, so the result is bit-identical to accumulating table by
+/// table.
 [[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables);
 
 /// Exponential staleness decay for asynchronous federated aggregation: an

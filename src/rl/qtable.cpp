@@ -1,7 +1,9 @@
 #include "rl/qtable.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -218,13 +220,34 @@ bool QTable::operator==(const QTable& other) const noexcept {
 }
 
 std::vector<std::uint32_t> QTable::sorted_slots() const {
-  std::vector<std::uint32_t> slots;
-  slots.reserve(size_);
+  // LSD radix sort of (key, slot) pairs, one stable counting pass per key
+  // byte. A byte position where every key holds the same value cannot
+  // reorder anything and is skipped, so packed state keys need ~4 passes.
+  // Keys are unique, so the result is exactly the ascending-key order.
+  struct Item {
+    StateKey key;
+    std::uint32_t slot;
+  };
+  std::vector<Item> items;
+  items.reserve(size_);
+  StateKey varying = 0;  // bits in which some key differs from the first
   for (std::size_t i = 0; i < capacity_; ++i) {
-    if (used_[i]) slots.push_back(static_cast<std::uint32_t>(i));
+    if (!used_[i]) continue;
+    if (!items.empty()) varying |= keys_[i] ^ items.front().key;
+    items.push_back(Item{keys_[i], static_cast<std::uint32_t>(i)});
   }
-  std::sort(slots.begin(), slots.end(),
-            [this](std::uint32_t a, std::uint32_t b) { return keys_[a] < keys_[b]; });
+  std::vector<Item> scratch(items.size());
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFFu) == 0) continue;
+    std::array<std::uint32_t, 256> offset{};
+    for (const Item& it : items) ++offset[(it.key >> shift) & 0xFFu];
+    std::uint32_t next = 0;
+    for (std::uint32_t& o : offset) next += std::exchange(o, next);
+    for (const Item& it : items) scratch[offset[(it.key >> shift) & 0xFFu]++] = it;
+    items.swap(scratch);
+  }
+  std::vector<std::uint32_t> slots(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) slots[i] = items[i].slot;
   return slots;
 }
 
@@ -236,11 +259,19 @@ void QTable::serialize(ByteWriter& out) const {
   // Canonical order: sorted by state key. The probe order depends on
   // insertion history and capacity, which must not leak into the snapshot
   // bytes (resume-equality tests compare serialized fleets byte-for-byte).
+  // Row layout: key u64, visits u64, tried u32, actions x f32 - sized once
+  // for the whole table, then filled row by row.
+  const std::size_t row_bytes = 20 + 4 * actions_;
+  std::uint8_t* p = out.extend(size_ * row_bytes);
   for (const std::uint32_t slot : sorted_slots()) {
-    out.u64(keys_[slot]);
-    out.u64(visits_[slot]);
-    out.u32(tried_[slot]);
-    for (std::size_t a = 0; a < actions_; ++a) out.f32(q_[slot * actions_ + a]);
+    store_u64(p, keys_[slot]);
+    store_u64(p + 8, visits_[slot]);
+    store_u32(p + 16, tried_[slot]);
+    const float* row = q_.data() + slot * actions_;
+    for (std::size_t a = 0; a < actions_; ++a) {
+      store_u32(p + 20 + 4 * a, std::bit_cast<std::uint32_t>(row[a]));
+    }
+    p += row_bytes;
   }
 }
 
@@ -260,14 +291,17 @@ QTable QTable::deserialize(ByteReader& in) {
   if (states > 0) {
     t.reserve_states(static_cast<std::size_t>(std::min<std::uint64_t>(states, 1u << 20)));
   }
+  const std::size_t row_bytes = 20 + 4 * t.actions_;  // serialize()'s row layout
   for (std::uint64_t i = 0; i < states; ++i) {
-    const StateKey key = in.u64();
+    const std::uint8_t* p = in.take(row_bytes);
+    const StateKey key = load_u64(p);
     if (t.contains(key)) in.fail("corrupt Q-table payload: duplicate state key");
     const std::size_t slot = t.insert_slot(key);
-    t.visits_[slot] = in.u64();
-    t.tried_[slot] = in.u32();
+    t.visits_[slot] = load_u64(p + 8);
+    t.tried_[slot] = load_u32(p + 16);
+    float* row = t.q_.data() + slot * t.actions_;
     for (std::size_t a = 0; a < t.actions_; ++a) {
-      t.q_[slot * t.actions_ + a] = in.f32();
+      row[a] = std::bit_cast<float>(load_u32(p + 20 + 4 * a));
     }
   }
   return t;

@@ -26,11 +26,20 @@ void QTableDelta::serialize(ByteWriter& out) const {
   out.u64(base_states);
   out.u64(base_total_visits);
   out.u64(static_cast<std::uint64_t>(changes.size()));
+  // Row layout: key u64, visit delta i64, tried u32, one f32 per action -
+  // sized once for every change, then filled row by row.
+  std::size_t total = 0;
+  for (const Change& c : changes) total += 20 + 4 * c.q.size();
+  std::uint8_t* p = out.extend(total);
   for (const Change& c : changes) {
-    out.u64(c.key);
-    out.i64(c.visit_delta);
-    out.u32(c.tried);
-    for (const float q : c.q) out.f32(q);
+    store_u64(p, c.key);
+    store_u64(p + 8, static_cast<std::uint64_t>(c.visit_delta));
+    store_u32(p + 16, c.tried);
+    p += 20;
+    for (const float q : c.q) {
+      store_u32(p, std::bit_cast<std::uint32_t>(q));
+      p += 4;
+    }
   }
 }
 
@@ -48,18 +57,22 @@ QTableDelta QTableDelta::deserialize(ByteReader& in) {
   // Changes are a subset of the sender's states; cap the pre-size like
   // QTable::deserialize so a corrupt count surfaces as truncation below.
   d.changes.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20)));
+  const std::size_t row_bytes = 20 + 4 * d.action_count;  // serialize()'s row layout
   StateKey prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint8_t* p = in.take(row_bytes);
     Change c;
-    c.key = in.u64();
+    c.key = load_u64(p);
     if (i > 0 && c.key <= prev) {
       in.fail("corrupt Q-table delta payload: change keys not strictly increasing");
     }
     prev = c.key;
-    c.visit_delta = in.i64();
-    c.tried = in.u32();
+    c.visit_delta = static_cast<std::int64_t>(load_u64(p + 8));
+    c.tried = load_u32(p + 16);
     c.q.resize(d.action_count);
-    for (float& q : c.q) q = in.f32();
+    for (std::size_t a = 0; a < d.action_count; ++a) {
+      c.q[a] = std::bit_cast<float>(load_u32(p + 20 + 4 * a));
+    }
     d.changes.push_back(std::move(c));
   }
   return d;
@@ -71,14 +84,6 @@ std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next
       base.state_count() > next.state_count()) {
     return std::nullopt;
   }
-  // The delta can only add or modify states (the table itself never erases),
-  // so every base state must still exist in `next`.
-  bool subset = true;
-  base.for_each_entry([&](const QTable::EntryView& e) {
-    if (!next.contains(e.key())) subset = false;
-  });
-  if (!subset) return std::nullopt;
-
   const std::size_t actions = next.action_count();
   QTableDelta d;
   d.action_count = actions;
@@ -86,8 +91,10 @@ std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next
   d.base_states = base.state_count();
   d.base_total_visits = base.total_visits();
   std::int64_t visit_delta_sum = 0;
+  std::size_t shared_states = 0;
   next.for_each_entry([&](const QTable::EntryView& e) {
     const std::optional<QTable::EntryView> b = base.find_entry(e.key());
+    shared_states += b.has_value() ? 1 : 0;
     bool changed = !b.has_value() || b->visits() != e.visits() || b->tried() != e.tried();
     if (!changed) {
       for (std::size_t a = 0; a < actions; ++a) {
@@ -108,6 +115,10 @@ std::optional<QTableDelta> try_make_delta(const QTable& base, const QTable& next
     for (std::size_t a = 0; a < actions; ++a) c.q[a] = e.q(a);
     d.changes.push_back(std::move(c));
   });
+  // The delta can only add or modify states (the table itself never erases),
+  // so every base state must still exist in `next`: keys are unique, so
+  // that holds exactly when all of base's states were met above.
+  if (shared_states != base.state_count()) return std::nullopt;
   // apply_delta reconstructs total_visits by accumulating per-state diffs,
   // which only lands on the sender's exact total when the totals are
   // consistent with the entries. Every QTable mutation path maintains that

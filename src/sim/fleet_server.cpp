@@ -205,7 +205,7 @@ std::string FleetServer::ring_path(std::size_t slot) const {
   return options_.snapshot_prefix + "." + std::to_string(slot);
 }
 
-FleetSnapshot FleetServer::boundary_snapshot() const {
+FleetSnapshot FleetServer::lend_boundary_snapshot() {
   FleetSnapshot snap;
   snap.next_round = round_;
   snap.total_decisions = stats_.total_decisions;
@@ -216,15 +216,15 @@ FleetSnapshot FleetServer::boundary_snapshot() const {
   // the server aggregates per device, so `uploads` holds each device's last
   // accepted table and `shard_tables` stays empty per slot.
   snap.shard_tables.assign(options_.devices, std::nullopt);
-  snap.uploads = uploads_;
   snap.shard_last_upload.assign(options_.devices, kNeverUploaded);
   for (std::size_t d = 0; d < options_.devices; ++d) {
     if (uploads_[d].has_value()) snap.shard_last_upload[d] = uploads_[d]->round;
   }
-  snap.last_aggregate = last_aggregate_;
+  snap.uploads = std::move(uploads_);
+  snap.last_aggregate = std::move(last_aggregate_);
   snap.has_server_state = true;
   snap.leases = leases_;
-  snap.pending_uploads = pending_;
+  snap.pending_uploads = std::move(pending_);
   snap.server_clock_us = clock_us_;
   snap.server_counters.rounds_served = stats_.rounds_served;
   snap.server_counters.uploads_accepted = stats_.uploads_accepted;
@@ -242,11 +242,24 @@ FleetSnapshot FleetServer::boundary_snapshot() const {
   return snap;
 }
 
+void FleetServer::return_boundary_snapshot(FleetSnapshot& snap) {
+  uploads_ = std::move(snap.uploads);
+  last_aggregate_ = std::move(snap.last_aggregate);
+  pending_ = std::move(snap.pending_uploads);
+}
+
 void FleetServer::write_ring_snapshot() {
   if (options_.snapshot_ring == 0) return;
   SnapshotWriter out;
   encode_fleet_server_options(options_, out.section(kServerOptionsSection));
-  write_fleet_state_sections(out, boundary_snapshot());
+  FleetSnapshot snap = lend_boundary_snapshot();
+  try {
+    write_fleet_state_sections(out, snap);
+  } catch (...) {
+    return_boundary_snapshot(snap);
+    throw;
+  }
+  return_boundary_snapshot(snap);
   out.write_file(ring_path(round_ % options_.snapshot_ring));
   ++stats_.snapshots_written;
 }

@@ -262,7 +262,13 @@ class FleetServer {
   void restore_from_ring();
   void write_ring_snapshot();
   [[nodiscard]] std::string ring_path(std::size_t slot) const;
-  [[nodiscard]] FleetSnapshot boundary_snapshot() const;
+  /// The round boundary as a FleetSnapshot that borrows the server's tables
+  /// (uploads, aggregate, pending uploads are moved in, not copied - a ring
+  /// write would otherwise copy every device's table each round).
+  /// return_boundary_snapshot() must hand them back before the server runs
+  /// again.
+  [[nodiscard]] FleetSnapshot lend_boundary_snapshot();
+  void return_boundary_snapshot(FleetSnapshot& snap);
 
   AppFactory app_factory_;
   FleetServerOptions options_;

@@ -310,7 +310,7 @@ std::vector<Result> run_sharded(
     }
     // --- parent -----------------------------------------------------------
     ::close(fds[1]);  // the worker's death must read as EOF
-    workers[s] = Worker{pid, fds[0]};
+    workers[s] = Worker{pid, fds[0], {}};
   }
 
   // Merge in shard (= plan) order, re-running any shard whose stream or

@@ -9,10 +9,14 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 
 namespace nextgov {
@@ -93,6 +97,41 @@ TEST(Crc32, KnownAnswer) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
   EXPECT_EQ(crc32({p, s.size()}), 0xCBF43926u);
   EXPECT_EQ(crc32({p, std::size_t{0}}), 0x00000000u);
+}
+
+/// Bitwise CRC-32 straight from the polynomial: the reference the
+/// table-driven crc32() must match bit for bit.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng{seed};
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next() >> 56);
+  return out;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryShortLengthAndAlignment) {
+  // Covers the 8-byte main loop, the bytewise tail and every mix of the
+  // two, at every start offset within a word.
+  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 0xC3C32026u);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> s{buf.data() + offset, len};
+      ASSERT_EQ(crc32(s), reference_crc32(s)) << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnALargeBuffer) {
+  const std::vector<std::uint8_t> buf = random_bytes(3u << 20, 42);  // 3 MiB
+  EXPECT_EQ(crc32(buf), reference_crc32(buf));
 }
 
 std::vector<std::uint8_t> two_section_snapshot() {
@@ -260,6 +299,26 @@ TEST(SnapshotContainer, FileRoundTripIsAtomic) {
   ByteReader r = snap.section("data");
   EXPECT_EQ(r.u64(), 99u);
   EXPECT_THROW((void)SnapshotReader::from_file(path + ".does-not-exist"), IoError);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotContainer, StreamedFileEqualsInMemoryBytes) {
+  // write_file() streams section by section; the file must still be exactly
+  // what bytes() assembles, including an empty section and an empty writer.
+  const std::string path = ::testing::TempDir() + "serialize_test_streamed.bin";
+  const auto file_bytes = [&] {
+    std::ifstream in{path, std::ios::binary};
+    return std::vector<std::uint8_t>{std::istreambuf_iterator<char>{in}, {}};
+  };
+  SnapshotWriter empty;
+  empty.write_file(path);
+  EXPECT_EQ(file_bytes(), empty.bytes());
+  SnapshotWriter w;
+  w.section("bulk").bytes(random_bytes(100000, 7));
+  (void)w.section("empty");
+  w.section("tail").str("end");
+  w.write_file(path);
+  EXPECT_EQ(file_bytes(), w.bytes());
   std::remove(path.c_str());
 }
 

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "rl/federated.hpp"
 
 namespace nextgov::rl {
@@ -217,6 +221,93 @@ TEST(FederatedMerge, ExtremeStalenessUnderflowsToZeroWeightGracefully) {
   EXPECT_EQ(merged.state_count(), 2u);
   EXPECT_EQ(merged.visits(2), 0u);
   EXPECT_EQ(merged.best_tried_action(2, 7), 7u);
+}
+
+/// The merge as it was first written: one hash-map accumulator per state,
+/// filled table by table. merge_q_tables must reproduce it bit for bit.
+QTable reference_merge(std::span<const QTable* const> tables, std::span<const double> table_weight) {
+  const std::size_t actions = tables.front()->action_count();
+  QTable merged{actions};
+  struct Acc {
+    std::vector<double> weighted_q;
+    std::vector<double> weight;
+    double visits{0.0};
+  };
+  std::unordered_map<StateKey, Acc> acc;
+  for (std::size_t ti = 0; ti < tables.size(); ++ti) {
+    const double tw = table_weight[ti];
+    tables[ti]->for_each_entry([&](const QTable::EntryView& e) {
+      auto [it, inserted] = acc.try_emplace(e.key());
+      if (inserted) {
+        it->second.weighted_q.assign(actions, 0.0);
+        it->second.weight.assign(actions, 0.0);
+      }
+      const double w = tw * (static_cast<double>(e.visits()) + 1.0);
+      for (std::size_t a = 0; a < actions && a < 32; ++a) {
+        if ((e.tried() & (1u << a)) == 0) continue;
+        it->second.weighted_q[a] += w * static_cast<double>(e.q(a));
+        it->second.weight[a] += w;
+      }
+      it->second.visits += tw * static_cast<double>(e.visits());
+    });
+  }
+  for (const auto& [key, a] : acc) {
+    for (std::size_t action = 0; action < actions; ++action) {
+      if (a.weight[action] > 0.0) {
+        merged.set_q(key, action, a.weighted_q[action] / a.weight[action]);
+      }
+    }
+    merged.add_visits(key, static_cast<std::uint64_t>(std::llround(a.visits)));
+  }
+  return merged;
+}
+
+/// `count` tables over a shared key pool: each state is present in a table
+/// with probability 1/2 (so keys overlap across some tables and are
+/// exclusive to others), tries a random subset of actions (possibly none),
+/// and has zero visits a quarter of the time.
+std::vector<QTable> random_tables(std::size_t count, std::size_t actions, std::uint64_t seed) {
+  SplitMix64 rng{seed};
+  std::vector<StateKey> pool(600);
+  for (StateKey& k : pool) k = rng.next() >> (rng.next() % 40);
+  std::vector<QTable> out;
+  for (std::size_t t = 0; t < count; ++t) {
+    QTable table{actions, 0.75};
+    for (const StateKey k : pool) {
+      if (rng.next() % 2 == 0) continue;
+      for (std::size_t a = 0; a < actions; ++a) {
+        if (rng.next() % 3 == 0) {
+          table.set_q(k, a, static_cast<double>(rng.next() % 20001) / 10000.0 - 1.0);
+        }
+      }
+      const std::uint64_t visits = rng.next() % 4 == 0 ? 0 : rng.next() % 50;
+      table.add_visits(k, visits);
+    }
+    out.push_back(std::move(table));
+  }
+  return out;
+}
+
+TEST(FederatedMerge, BitIdenticalToTheHashMapReference) {
+  const StalenessMergePolicy policy{1.5};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::size_t actions : {std::size_t{9}, std::size_t{40}}) {  // 40: past the 32-bit tried mask
+      const std::vector<QTable> owned = random_tables(1 + seed % 5, actions, seed * 131 + actions);
+      std::vector<const QTable*> tables;
+      std::vector<double> staleness;
+      std::vector<double> weights;
+      for (std::size_t i = 0; i < owned.size(); ++i) {
+        tables.push_back(&owned[i]);
+        staleness.push_back(static_cast<double>((i + seed) % 4));
+        weights.push_back(policy.weight(staleness.back()));
+      }
+      EXPECT_TRUE(merge_q_tables(tables, staleness, policy) == reference_merge(tables, weights))
+          << "seed " << seed << " actions " << actions;
+      const std::vector<double> unit(tables.size(), 1.0);
+      EXPECT_TRUE(merge_q_tables(tables) == reference_merge(tables, unit))
+          << "seed " << seed << " actions " << actions;
+    }
+  }
 }
 
 TEST(CloudTiming, AddsPaperCommunicationOverhead) {

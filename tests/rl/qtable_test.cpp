@@ -1,11 +1,15 @@
 // Unit tests for the sparse Q-table, including persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "rl/qtable.hpp"
 
 namespace nextgov::rl {
@@ -142,6 +146,100 @@ TEST(QTable, SerializationIsCanonical) {
   QTable b{2};
   for (StateKey s = 0; s < 20; ++s) a.set_q(s * 7, 1, 0.1 * static_cast<double>(s));
   for (StateKey s = 20; s-- > 0;) b.set_q(s * 7, 1, 0.1 * static_cast<double>(s));
+  ByteWriter wa;
+  ByteWriter wb;
+  a.serialize(wa);
+  b.serialize(wb);
+  EXPECT_EQ(wa.data(), wb.data());
+}
+
+/// The canonical encoding written the straightforward way: the keys the
+/// test inserted, ordered by std::sort, each row emitted value by value.
+std::vector<std::uint8_t> reference_encoding(const QTable& t, std::vector<StateKey> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ByteWriter w;
+  w.u64(t.action_count());
+  w.f64(t.default_q());
+  w.u64(t.total_visits());
+  w.u64(keys.size());
+  for (const StateKey k : keys) {
+    const auto e = t.find_entry(k);
+    if (!e.has_value()) return {};
+    w.u64(k);
+    w.u64(e->visits());
+    w.u32(e->tried());
+    for (std::size_t a = 0; a < t.action_count(); ++a) w.f32(e->q(a));
+  }
+  return w.data();
+}
+
+/// for_each_entry yields strictly increasing keys covering every state, and
+/// serialize() equals the std::sort reference byte for byte.
+void expect_canonical(const QTable& t, const std::vector<StateKey>& keys) {
+  std::size_t seen = 0;
+  bool increasing = true;
+  StateKey prev = 0;
+  t.for_each_entry([&](const QTable::EntryView& e) {
+    if (seen > 0 && e.key() <= prev) increasing = false;
+    prev = e.key();
+    ++seen;
+  });
+  EXPECT_TRUE(increasing);
+  EXPECT_EQ(seen, t.state_count());
+  ByteWriter w;
+  t.serialize(w);
+  EXPECT_EQ(w.data(), reference_encoding(t, keys));
+}
+
+QTable table_with(const std::vector<StateKey>& keys) {
+  QTable t{3, 0.5};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    t.set_q(keys[i], i % 3, 0.001 * static_cast<double>(i));
+    t.add_visits(keys[i], i % 4);
+  }
+  return t;
+}
+
+TEST(QTableCanonicalOrder, KeysDifferingOnlyInTheTopByte) {
+  std::vector<StateKey> keys;
+  for (StateKey hi = 256; hi-- > 0;) keys.push_back(hi << 56 | 0x00ABCDEF12345678ULL);
+  expect_canonical(table_with(keys), keys);
+}
+
+TEST(QTableCanonicalOrder, ExtremeKeys) {
+  const std::vector<StateKey> keys{std::numeric_limits<StateKey>::max(), 0, 1,
+                                   std::numeric_limits<StateKey>::max() - 1, 1ULL << 63};
+  expect_canonical(table_with(keys), keys);
+}
+
+TEST(QTableCanonicalOrder, EmptyAndOneEntryTables) {
+  expect_canonical(QTable{4}, {});
+  expect_canonical(table_with({42}), {42});
+}
+
+TEST(QTableCanonicalOrder, TableGrownPastItsFirstCapacity) {
+  SplitMix64 rng{2026};
+  std::vector<StateKey> keys(10000);
+  for (StateKey& k : keys) k = rng.next() >> (rng.next() % 64);  // every key width
+  const QTable t = table_with(keys);
+  ASSERT_GT(t.state_count(), 4096u * 3 / 4);  // past the first 4096-slot allocation
+  expect_canonical(t, keys);
+}
+
+TEST(QTableCanonicalOrder, InsertionOrderDoesNotLeak) {
+  SplitMix64 rng{7};
+  std::vector<StateKey> keys(5000);
+  for (StateKey& k : keys) k = rng.next() & 0x0000FFFF00FF00FFULL;  // packed-field style
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<StateKey> reversed(keys.rbegin(), keys.rend());
+  QTable a{3};
+  QTable b{3};
+  for (const StateKey k : keys) a.set_q(k, k % 3, static_cast<double>(k % 97));
+  for (const StateKey k : reversed) b.set_q(k, k % 3, static_cast<double>(k % 97));
+  expect_canonical(a, keys);
+  expect_canonical(b, keys);
   ByteWriter wa;
   ByteWriter wb;
   a.serialize(wa);
