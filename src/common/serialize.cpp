@@ -6,6 +6,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/task_pool.hpp"
+
 namespace nextgov {
 
 namespace {
@@ -49,28 +51,72 @@ std::uint32_t crc32_accumulate(std::uint32_t crc,
   return crc;
 }
 
-/// Section checksum for a container of the given format version. From v3 on
-/// the CRC is seeded with the version word itself, so the (otherwise
+/// zlib's running form: the CRC of bytes already checksummed as `crc`,
+/// followed by `data`.
+std::uint32_t crc32_extend(std::uint32_t crc, std::span<const std::uint8_t> data) noexcept {
+  return crc32_accumulate(crc ^ 0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+/// Carry-less product a * b modulo the CRC polynomial, in the reflected
+/// bit order the tables use (bit 31 holds x^0).
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) ? 0xEDB88320u ^ (b >> 1) : b >> 1;
+  }
+  return product;
+}
+
+/// kX2n[k] = x^(2^k) modulo the CRC polynomial.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() noexcept {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::uint32_t& power : t) {
+    power = p;
+    p = multmodp(p, p);
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 32> kX2n = make_x2n_table();
+
+/// Section checksum for a container of the given format version, as the
+/// CRC of the (empty) prefix the payload's checksum continues from. From
+/// v3 on the CRC is seeded with the version word itself, so the (otherwise
 /// unprotected) version field cannot be flipped to another in-window value
 /// without every section check failing: a v3 file misread as v2 verifies
 /// with the plain payload CRC and mismatches, and vice versa. v1/v2 files
 /// keep their original plain-payload checksum, which is what preserves
 /// read-back compatibility.
+std::uint32_t section_crc_seed(std::uint32_t version) noexcept {
+  if (version < 3) return 0;  // crc32 of nothing
+  const std::array<std::uint8_t, 4> seed{
+      static_cast<std::uint8_t>(version), static_cast<std::uint8_t>(version >> 8),
+      static_cast<std::uint8_t>(version >> 16), static_cast<std::uint8_t>(version >> 24)};
+  return crc32(seed);
+}
+
 std::uint32_t section_crc(std::uint32_t version, std::span<const std::uint8_t> payload) noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  if (version >= 3) {
-    const std::array<std::uint8_t, 4> seed{
-        static_cast<std::uint8_t>(version), static_cast<std::uint8_t>(version >> 8),
-        static_cast<std::uint8_t>(version >> 16), static_cast<std::uint8_t>(version >> 24)};
-    crc = crc32_accumulate(crc, seed);
-  }
-  return crc32_accumulate(crc, payload) ^ 0xFFFFFFFFu;
+  return crc32_extend(section_crc_seed(version), payload);
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
   return crc32_accumulate(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) noexcept {
+  // x^(8 * len_b), one table power per set bit of len_b (starting at
+  // x^(2^3) = one byte). x has multiplicative order dividing 2^32 - 1, so
+  // x^(2^32) = x and the table index wraps.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if ((len_b & 1u) != 0) shift = multmodp(kX2n[k & 31u], shift);
+  }
+  return multmodp(shift, crc_a) ^ crc_b;
 }
 
 // --- ByteWriter -------------------------------------------------------------
@@ -160,30 +206,73 @@ ByteWriter& SnapshotWriter::section(std::string name) {
   for (const Section& s : sections_) {
     require(s.name != name, "snapshot section name used twice");
   }
-  sections_.push_back(Section{std::move(name), ByteWriter{}});
-  return sections_.back().payload;
+  sections_.push_back(Section{std::move(name), {}});
+  sections_.back().chunks.emplace_back();
+  return sections_.back().chunks.back().bytes;
+}
+
+ByteWriter& SnapshotWriter::defer(std::function<void(ByteWriter&)> fill) {
+  require(!sections_.empty(), "SnapshotWriter::defer needs an open section");
+  require(static_cast<bool>(fill), "SnapshotWriter::defer needs a fill");
+  std::vector<Chunk>& chunks = sections_.back().chunks;
+  chunks.push_back(Chunk{ByteWriter{}, std::move(fill), std::nullopt});
+  chunks.emplace_back();
+  return chunks.back().bytes;
+}
+
+void SnapshotWriter::seal(std::size_t workers) {
+  std::vector<Chunk*> pending;
+  for (Section& s : sections_) {
+    for (Chunk& c : s.chunks) {
+      if (c.fill) pending.push_back(&c);
+    }
+  }
+  run_indexed_tasks(pending.size(), resolve_workers(workers, pending.size()),
+                    [&](std::size_t i) {
+                      Chunk& c = *pending[i];
+                      c.fill(c.bytes);
+                      c.fill = nullptr;
+                      c.crc = crc32(c.bytes.data());
+                    });
 }
 
 template <typename Emit>
 void SnapshotWriter::emit(Emit&& out) const {
+  // Checked before the first byte goes out: a chunk still waiting for its
+  // fill has neither its bytes nor its CRC yet.
+  for (const Section& s : sections_) {
+    for (const Chunk& c : s.chunks) {
+      require(!c.fill, "SnapshotWriter: seal() the deferred chunks before emitting");
+    }
+  }
   ByteWriter head;
   head.u32(kSnapshotMagic);
   head.u32(kSnapshotVersion);
   head.u32(static_cast<std::uint32_t>(sections_.size()));
   out(std::span<const std::uint8_t>{head.data()});
   for (const Section& s : sections_) {
+    std::uint64_t size = 0;
+    std::uint32_t crc = section_crc_seed(kSnapshotVersion);
+    for (const Chunk& c : s.chunks) {
+      size += c.bytes.size();
+      crc = c.crc.has_value() ? crc32_combine(crc, *c.crc, c.bytes.size())
+                              : crc32_extend(crc, c.bytes.data());
+    }
     ByteWriter frame;
     frame.str(s.name);
-    frame.u64(s.payload.size());
-    frame.u32(section_crc(kSnapshotVersion, s.payload.data()));
+    frame.u64(size);
+    frame.u32(crc);
     out(std::span<const std::uint8_t>{frame.data()});
-    out(std::span<const std::uint8_t>{s.payload.data()});
+    for (const Chunk& c : s.chunks) out(std::span<const std::uint8_t>{c.bytes.data()});
   }
 }
 
 std::vector<std::uint8_t> SnapshotWriter::bytes() const {
   std::size_t total = 12;  // magic + version + section count
-  for (const Section& s : sections_) total += 16 + s.name.size() + s.payload.size();
+  for (const Section& s : sections_) {
+    total += 16 + s.name.size();
+    for (const Chunk& c : s.chunks) total += c.bytes.size();
+  }
   std::vector<std::uint8_t> blob;
   blob.reserve(total);
   emit([&](std::span<const std::uint8_t> part) {

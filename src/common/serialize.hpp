@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -50,6 +52,19 @@ class SerializeError : public IoError {
 /// a byte-at-a-time table walk. Input is read with shifts, never a word
 /// load, so the result does not depend on host byte order.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
+
+/// CRC-32 of the concatenation A||B from crc_a = crc32(A), crc_b = crc32(B)
+/// and len_b = |B| alone, without reading a byte of either (the algorithm
+/// of zlib's crc32_combine).
+///
+/// Cost model: crc_a is multiplied by x^(8 * len_b) modulo the CRC
+/// polynomial, built from a compile-time table of the 32 powers x^(2^k) -
+/// one 32-step carry-less multiply per set bit of len_b, so at most 65
+/// multiplies (a few microseconds at worst) however long B is. That is what
+/// lets SnapshotWriter checksum a section's chunks on different threads
+/// and still store one CRC per section.
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                          std::uint64_t len_b) noexcept;
 
 /// Little-endian stores/loads at a raw position. Byte shifts keep the
 /// encoding identical on every host; compilers fuse them into one move.
@@ -162,11 +177,32 @@ inline constexpr std::uint32_t kSnapshotVersionMin = 1;
 
 /// Assembles a sectioned snapshot. Sections are written in call order;
 /// names must be unique and are the reader's lookup keys.
+///
+/// A section's payload is a run of chunks: the writer section() hands out,
+/// and one chunk per defer() call plus the fresh writer that follows it.
+/// Deferred chunks are filled and checksummed by seal(), across a worker
+/// pool; the section's stored CRC is combined from the chunk CRCs
+/// (crc32_combine), so the container bytes are exactly those of one
+/// contiguous payload.
 class SnapshotWriter {
  public:
   /// Starts a new named section and returns the writer for its payload.
-  /// The returned reference is invalidated by the next section() call.
+  /// The returned reference is invalidated by the next section() or
+  /// defer() call.
   ByteWriter& section(std::string name);
+
+  /// Ends the current section's open chunk and reserves the next payload
+  /// bytes for `fill`, which writes them into a chunk of its own when
+  /// seal() runs - possibly on a worker thread, which then checksums that
+  /// chunk too. Returns the writer for the bytes that follow. Whatever
+  /// `fill` reads must stay alive until seal().
+  ByteWriter& defer(std::function<void(ByteWriter&)> fill);
+
+  /// Runs every pending defer() fill, each followed by its chunk's CRC32,
+  /// across `workers` threads (common/task_pool.hpp). The bytes do not
+  /// depend on `workers`. bytes() and write_file() refuse a writer with
+  /// fills still pending.
+  void seal(std::size_t workers = 1);
 
   /// The assembled container (magic, version, section table + payloads,
   /// per-section CRC32).
@@ -174,15 +210,20 @@ class SnapshotWriter {
 
   /// Writes the container to `path` atomically (temp file + rename), so a
   /// crash mid-write can never leave a half-written snapshot at `path`.
-  /// The header and each section stream straight from their payload
-  /// buffers; the file is never assembled in memory first. Throws IoError
-  /// on filesystem failure.
+  /// The header and each chunk stream straight from their buffers; the
+  /// file is never assembled in memory first. Throws IoError on filesystem
+  /// failure.
   void write_file(const std::string& path) const;
 
  private:
+  struct Chunk {
+    ByteWriter bytes;
+    std::function<void(ByteWriter&)> fill;  ///< pending until seal() runs it
+    std::optional<std::uint32_t> crc;       ///< set by seal() for deferred chunks
+  };
   struct Section {
     std::string name;
-    ByteWriter payload;
+    std::vector<Chunk> chunks;
   };
   /// Emits the container as a run of byte spans (the single definition of
   /// the layout that bytes() and write_file() share).

@@ -36,7 +36,15 @@ namespace nextgov::rl {
 /// per-state allocation. Each state's sums add the tables' contributions in
 /// table order, so the result is bit-identical to accumulating table by
 /// table.
-[[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables);
+///
+/// `workers` (0 = one per hardware thread, common/task_pool.hpp) spreads
+/// both steps over the pool: the per-table passes run one table per task,
+/// then the key space is cut into `workers` contiguous ranges that each run
+/// the k-way merge into a row buffer. The calling thread installs the rows
+/// range after range, in key order - the single-range insertion sequence -
+/// so the result, hash layout included, is the same for every `workers`.
+[[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables,
+                                    std::size_t workers = 1);
 
 /// Exponential staleness decay for asynchronous federated aggregation: an
 /// upload that is `staleness` merge rounds old keeps
@@ -56,9 +64,11 @@ struct StalenessMergePolicy {
 /// policy.weight(staleness[i]), so shards that phone home rarely pull the
 /// aggregate less than fresh ones, but their exclusive states still
 /// survive the merge (weight decays, never reaches zero).
+/// `workers` as above.
 [[nodiscard]] QTable merge_q_tables(std::span<const QTable* const> tables,
                                     std::span<const double> staleness,
-                                    const StalenessMergePolicy& policy = {});
+                                    const StalenessMergePolicy& policy = {},
+                                    std::size_t workers = 1);
 
 struct CloudTimingModel {
   double comm_overhead_s{4.0};  ///< to-and-fro device<->cloud (Section IV-C)

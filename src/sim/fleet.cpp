@@ -17,10 +17,10 @@ namespace nextgov::sim {
 namespace {
 
 /// Staleness-weighted merge of the uploads the server has seen so far,
-/// aged relative to `current_round`.
+/// aged relative to `current_round`, across `workers` threads.
 rl::QTable server_aggregate(const std::vector<std::optional<FleetUpload>>& uploads,
                             std::size_t current_round,
-                            const rl::StalenessMergePolicy& policy) {
+                            const rl::StalenessMergePolicy& policy, std::size_t workers) {
   std::vector<const rl::QTable*> tables;
   std::vector<double> staleness;
   for (const auto& upload : uploads) {
@@ -29,7 +29,7 @@ rl::QTable server_aggregate(const std::vector<std::optional<FleetUpload>>& uploa
     staleness.push_back(static_cast<double>(current_round - upload->round));
   }
   NEXTGOV_ASSERT(!tables.empty());
-  return rl::merge_q_tables(tables, staleness, policy);
+  return rl::merge_q_tables(tables, staleness, policy, workers);
 }
 
 // --- fault injection -------------------------------------------------------
@@ -71,9 +71,16 @@ constexpr const char* kStateSection = "fleet_state";
 constexpr const char* kServerSection = "server_state";
 constexpr const char* kSyncSection = "sync_state";
 
-void write_optional_table(ByteWriter& out, const std::optional<rl::QTable>& table) {
-  out.boolean(table.has_value());
-  if (table.has_value()) table->serialize(out);
+/// Defers `table` into a chunk of its own (serialized and checksummed by
+/// SnapshotWriter::seal) and returns the writer for the bytes after it.
+ByteWriter& defer_table(SnapshotWriter& out, const rl::QTable& table) {
+  return out.defer([&table](ByteWriter& chunk) { table.serialize(chunk); });
+}
+
+ByteWriter& write_optional_table(SnapshotWriter& out, ByteWriter& w,
+                                 const std::optional<rl::QTable>& table) {
+  w.boolean(table.has_value());
+  return table.has_value() ? defer_table(out, *table) : w;
 }
 
 std::optional<rl::QTable> read_optional_table(ByteReader& in) {
@@ -201,70 +208,76 @@ void encode_fleet_options(const FleetOptions& options, ByteWriter& out) {
   encode_next_config(options.next_config, out);
 }
 
-void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapshot) {
+void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapshot,
+                                std::size_t workers) {
   NEXTGOV_ASSERT(snapshot.shard_tables.size() == snapshot.uploads.size());
   NEXTGOV_ASSERT(snapshot.shard_tables.size() == snapshot.shard_last_upload.size());
-  ByteWriter& state = out.section(kStateSection);
-  state.u64(static_cast<std::uint64_t>(snapshot.next_round));
-  state.u64(snapshot.total_decisions);
-  state.f64(snapshot.last_round_mean_reward);
-  state.u64(snapshot.dropped_device_rounds);
-  state.u64(snapshot.rejected_uploads);
-  state.u32(static_cast<std::uint32_t>(snapshot.shard_tables.size()));
+  // `w` is the open chunk of the current section; every table ends it (see
+  // defer_table), so it is re-pointed at the writer that follows.
+  ByteWriter* w = &out.section(kStateSection);
+  w->u64(static_cast<std::uint64_t>(snapshot.next_round));
+  w->u64(snapshot.total_decisions);
+  w->f64(snapshot.last_round_mean_reward);
+  w->u64(snapshot.dropped_device_rounds);
+  w->u64(snapshot.rejected_uploads);
+  w->u32(static_cast<std::uint32_t>(snapshot.shard_tables.size()));
   for (std::size_t s = 0; s < snapshot.shard_tables.size(); ++s) {
-    write_optional_table(state, snapshot.shard_tables[s]);
-    state.boolean(snapshot.uploads[s].has_value());
+    w = &write_optional_table(out, *w, snapshot.shard_tables[s]);
+    w->boolean(snapshot.uploads[s].has_value());
     if (snapshot.uploads[s].has_value()) {
-      state.u64(static_cast<std::uint64_t>(snapshot.uploads[s]->round));
-      snapshot.uploads[s]->table.serialize(state);
+      w->u64(static_cast<std::uint64_t>(snapshot.uploads[s]->round));
+      w = &defer_table(out, snapshot.uploads[s]->table);
     }
-    state.u64(static_cast<std::uint64_t>(snapshot.shard_last_upload[s]));
+    w->u64(static_cast<std::uint64_t>(snapshot.shard_last_upload[s]));
   }
-  write_optional_table(state, snapshot.last_aggregate);
+  write_optional_table(out, *w, snapshot.last_aggregate);
   if (snapshot.has_server_state) {
     // Version-2 extension: the long-running server's lease / deadline /
     // pending-upload state (see fleet_server.hpp). A separate section keeps
     // the version-1 "fleet_state" layout byte-stable.
-    ByteWriter& server = out.section(kServerSection);
-    server.i64(snapshot.server_clock_us);
-    server.u32(static_cast<std::uint32_t>(snapshot.leases.size()));
+    w = &out.section(kServerSection);
+    w->i64(snapshot.server_clock_us);
+    w->u32(static_cast<std::uint32_t>(snapshot.leases.size()));
     for (const DeviceLease& lease : snapshot.leases) {
-      server.boolean(lease.active);
-      server.u64(static_cast<std::uint64_t>(lease.rejoin_round));
+      w->boolean(lease.active);
+      w->u64(static_cast<std::uint64_t>(lease.rejoin_round));
     }
-    server.u32(static_cast<std::uint32_t>(snapshot.pending_uploads.size()));
+    w->u32(static_cast<std::uint32_t>(snapshot.pending_uploads.size()));
     for (const PendingUpload& pending : snapshot.pending_uploads) {
-      server.u64(static_cast<std::uint64_t>(pending.device));
-      server.u64(static_cast<std::uint64_t>(pending.trained_round));
-      server.i64(pending.arrival_us);
-      server.u32(pending.attempts_used);
-      pending.table.serialize(server);
+      w->u64(static_cast<std::uint64_t>(pending.device));
+      w->u64(static_cast<std::uint64_t>(pending.trained_round));
+      w->i64(pending.arrival_us);
+      w->u32(pending.attempts_used);
+      w = &defer_table(out, pending.table);
     }
     const FleetSnapshot::ServerCounters& c = snapshot.server_counters;
-    server.u64(c.rounds_served);
-    server.u64(c.uploads_accepted);
-    server.u64(c.uploads_retried);
-    server.u64(c.uploads_lost);
-    server.u64(c.late_uploads_merged);
-    server.u64(c.departures);
+    w->u64(c.rounds_served);
+    w->u64(c.uploads_accepted);
+    w->u64(c.uploads_retried);
+    w->u64(c.uploads_lost);
+    w->u64(c.late_uploads_merged);
+    w->u64(c.departures);
   }
   // Version-3 extension: per-shard delta bases + cumulative upload-wire
   // counters. Again a separate section, so the v1/v2 layouts above stay
   // byte-stable and pre-v3 files simply decode without it.
   NEXTGOV_ASSERT(snapshot.sync.bases.size() == snapshot.sync.cursors.size());
-  ByteWriter& sync = out.section(kSyncSection);
-  sync.u32(static_cast<std::uint32_t>(snapshot.sync.bases.size()));
+  w = &out.section(kSyncSection);
+  w->u32(static_cast<std::uint32_t>(snapshot.sync.bases.size()));
   for (std::size_t s = 0; s < snapshot.sync.bases.size(); ++s) {
-    sync.boolean(snapshot.sync.bases[s].has_value());
+    w->boolean(snapshot.sync.bases[s].has_value());
     if (snapshot.sync.bases[s].has_value()) {
-      sync.u64(static_cast<std::uint64_t>(snapshot.sync.cursors[s]));
-      snapshot.sync.bases[s]->serialize(sync);
+      w->u64(static_cast<std::uint64_t>(snapshot.sync.cursors[s]));
+      w = &defer_table(out, *snapshot.sync.bases[s]);
     }
   }
-  sync.u64(snapshot.sync.upload_bytes_full);
-  sync.u64(snapshot.sync.upload_bytes_delta);
-  sync.u64(snapshot.sync.uploads_full);
-  sync.u64(snapshot.sync.uploads_delta);
+  w->u64(snapshot.sync.upload_bytes_full);
+  w->u64(snapshot.sync.upload_bytes_delta);
+  w->u64(snapshot.sync.uploads_full);
+  w->u64(snapshot.sync.uploads_delta);
+  // The deferred chunks borrow the snapshot's tables: fill them before
+  // returning, while those are certainly alive.
+  out.seal(workers);
 }
 
 FleetSnapshot read_fleet_state_sections(const SnapshotReader& snapshot) {
@@ -545,7 +558,7 @@ FleetResult train_fleet(AppFactory app_factory, const FleetOptions& options,
         if (shard_of(plan_device[i]) == s) members.push_back(&round_results[i].table);
       }
       if (members.size() == historical_only) continue;  // no fresh uploads
-      shard_tables[s] = rl::merge_q_tables(members);
+      shard_tables[s] = rl::merge_q_tables(members, runner.workers);
     }
 
     // 3. Periodic global sync: due shards upload their fresh aggregate,
@@ -603,7 +616,7 @@ FleetResult train_fleet(AppFactory app_factory, const FleetOptions& options,
     }
     rejected_uploads += round_rejected;
     if (any_synced) {
-      last_aggregate = server_aggregate(uploads, round, options.merge_policy);
+      last_aggregate = server_aggregate(uploads, round, options.merge_policy, runner.workers);
       for (std::size_t s = 0; s < n_shards; ++s) {
         if (synced[s]) {
           shard_tables[s] = *last_aggregate;

@@ -336,8 +336,12 @@ void encode_next_config(const core::NextConfig& config, ByteWriter& out);
 
 /// Writes the "fleet_state" section (when snapshot.has_server_state, the
 /// version-2 "server_state" section) and the version-3 "sync_state" section
-/// into `out`.
-void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapshot);
+/// into `out`, then seals it. Every Q-table goes into a deferred chunk of
+/// its own (SnapshotWriter::defer), so seal() serializes and checksums the
+/// tables across `workers` threads; the bytes are the same for every
+/// `workers` value, and 1 runs the same code serially.
+void write_fleet_state_sections(SnapshotWriter& out, const FleetSnapshot& snapshot,
+                                std::size_t workers = 1);
 
 /// Decodes what write_fleet_state_sections() wrote. Version-1 containers
 /// (no "server_state" section) decode with the server fields defaulted;

@@ -9,7 +9,9 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "core/next_agent.hpp"
 #include "sim/multiproc.hpp"
+#include "soc/soc.hpp"
 
 namespace nextgov::sim {
 
@@ -30,10 +32,12 @@ constexpr std::uint64_t kUploadFailSalt = 0xF41Cu;
 constexpr const char* kServerOptionsSection = "fleet_server_options";
 
 /// Checks a decoded ring entry against what this server could have written
-/// under `devices`: the restored arrays are indexed by device id and the
-/// pending uploads replay into later rounds, so counts, ids and rounds
-/// outside those bounds are rejected instead of trusted.
-void validate_ring_state(const FleetSnapshot& snap, std::size_t devices) {
+/// under `devices` with agents of `actions` actions: the restored arrays are
+/// indexed by device id, the pending uploads replay into later rounds, and
+/// every table is merged and warm-started into those agents, so counts,
+/// ids, rounds and table shapes outside those bounds are rejected instead
+/// of trusted.
+void validate_ring_state(const FleetSnapshot& snap, std::size_t devices, std::size_t actions) {
   const auto fail = [](const std::string& what) {
     throw SerializeError("fleet-server ring entry: " + what);
   };
@@ -44,6 +48,17 @@ void validate_ring_state(const FleetSnapshot& snap, std::size_t devices) {
   if (snap.uploads.size() != devices) {
     fail(std::to_string(snap.uploads.size()) + " device upload slots" + want);
   }
+  const auto check_table = [&](const rl::QTable& table, const std::string& which) {
+    if (table.action_count() != actions) {
+      fail(which + " has " + std::to_string(table.action_count()) +
+           " actions (this server's agents use " + std::to_string(actions) + ")");
+    }
+  };
+  for (std::size_t d = 0; d < snap.uploads.size(); ++d) {
+    if (snap.uploads[d].has_value()) {
+      check_table(snap.uploads[d]->table, "device " + std::to_string(d) + "'s upload");
+    }
+  }
   for (const PendingUpload& p : snap.pending_uploads) {
     if (p.device >= devices) {
       fail("pending upload names device " + std::to_string(p.device) + " of " +
@@ -53,7 +68,9 @@ void validate_ring_state(const FleetSnapshot& snap, std::size_t devices) {
       fail("pending upload trained in round " + std::to_string(p.trained_round) +
            ", not before the entry's next round " + std::to_string(snap.next_round));
     }
+    check_table(p.table, "pending upload of device " + std::to_string(p.device));
   }
+  if (snap.last_aggregate.has_value()) check_table(*snap.last_aggregate, "the global aggregate");
 }
 
 SplitMix64 churn_stream(std::uint64_t seed, std::uint64_t salt, std::size_t round,
@@ -85,6 +102,12 @@ void damage_blob(std::vector<std::uint8_t>& blob, SplitMix64& sm) {
   }
 }
 
+/// Action count of the Next agents this server trains (three per cluster
+/// of the simulated SoC) - the shape every restored table must have.
+std::size_t agent_action_count(const core::NextConfig& config) {
+  return core::make_next_agent(soc::make_exynos9810(), config, 0)->q_table().action_count();
+}
+
 // --- the round's event loop ------------------------------------------------
 
 struct Event {
@@ -96,6 +119,48 @@ struct Event {
   std::uint32_t attempt{0};
   std::size_t table{0};  ///< arena index (upload events only)
 };
+
+/// One upload in flight this round: the device's table and its wire state.
+struct InFlight {
+  explicit InFlight(rl::QTable t) : table{std::move(t)} {}
+
+  rl::QTable table;
+  /// Clean encode_upload bytes from the codec pass, kept for the retries.
+  std::vector<std::uint8_t> wire;
+  std::size_t wire_bytes{0};  ///< encoded size, counted on every attempt
+  bool went_delta{false};
+  /// The codec pass already ran the next attempt; `arrived` holds what the
+  /// receiver decoded (nullopt = rejected).
+  bool attempted{false};
+  std::optional<rl::QTable> arrived;
+};
+
+/// Upload attempt `attempt` of `u`: its clean bytes, damaged in flight when
+/// the attempt's seeded draw fires, then decoded by the receiver. Returns
+/// the decoded table, or nullopt when the receiver rejects the bytes. A
+/// damaged attempt works on a copy and leaves the clean bytes for the
+/// retry; an intact one consumes them (after it nothing retries - the codec
+/// is deterministic, so bytes rejected intact stay rejected).
+std::optional<rl::QTable> deliver(InFlight& u, const FleetChurnPlan& churn,
+                                  std::size_t trained_round, std::size_t device,
+                                  std::uint32_t attempt, const rl::QTable* base) {
+  std::vector<std::uint8_t> bytes;
+  bool damaged = false;
+  if (churn.upload_fail_rate > 0.0) {
+    SplitMix64 fate = attempt_stream(churn.seed, trained_round, device, attempt);
+    if (bernoulli(fate, churn.upload_fail_rate)) {
+      bytes = u.wire;
+      damage_blob(bytes, fate);
+      damaged = true;
+    }
+  }
+  if (!damaged) bytes = std::move(u.wire);
+  try {
+    return decode_upload(std::move(bytes), base, "upload from device " + std::to_string(device));
+  } catch (const SerializeError&) {
+    return std::nullopt;
+  }
+}
 
 /// Min-heap order: time, then a total tiebreak so processing order is
 /// deterministic (lease expiries before arrivals at the same instant - an
@@ -254,7 +319,7 @@ void FleetServer::write_ring_snapshot() {
   encode_fleet_server_options(options_, out.section(kServerOptionsSection));
   FleetSnapshot snap = lend_boundary_snapshot();
   try {
-    write_fleet_state_sections(out, snap);
+    write_fleet_state_sections(out, snap, runner_.workers);
   } catch (...) {
     return_boundary_snapshot(snap);
     throw;
@@ -267,6 +332,7 @@ void FleetServer::write_ring_snapshot() {
 void FleetServer::drain() { write_ring_snapshot(); }
 
 void FleetServer::restore_from_ring() {
+  const std::size_t actions = agent_action_count(options_.next_config);
   std::optional<FleetSnapshot> best;
   for (std::size_t slot = 0; slot < options_.snapshot_ring; ++slot) {
     const std::string path = ring_path(slot);
@@ -314,7 +380,7 @@ void FleetServer::restore_from_ring() {
     FleetSnapshot snap;
     try {
       snap = read_fleet_state_sections(*reader);
-      if (snap.has_server_state) validate_ring_state(snap, options_.devices);
+      if (snap.has_server_state) validate_ring_state(snap, options_.devices, actions);
     } catch (const SerializeError& e) {
       if (quarantine_snapshot(path, e.what())) ++stats_.snapshots_quarantined;
       continue;
@@ -375,7 +441,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   //    result could never be uploaded, and a pure-function fleet has no
   //    half-trained state to leak).
   std::vector<Event> heap;
-  std::vector<rl::QTable> arena;
+  std::vector<InFlight> arena;
   std::vector<std::size_t> trainees;
   std::vector<std::int64_t> first_attempt_us(options_.devices, 0);
   for (std::size_t d = 0; d < options_.devices; ++d) {
@@ -429,7 +495,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   // With processes > 1 the plan fans out across forked worker processes
   // (sim/multiproc.hpp) - merged bit-identically, so snapshots and goldens
   // are oblivious to the choice.
-  const std::vector<TrainingResult> results =
+  std::vector<TrainingResult> results =
       plan.empty() ? std::vector<TrainingResult>{}
       : options_.processes > 1
           ? run_training_plan_sharded(plan, {.processes = options_.processes,
@@ -439,7 +505,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     reward_sum += results[i].final_mean_reward;
     stats_.total_decisions += results[i].decisions;
-    arena.push_back(results[i].table);
+    arena.emplace_back(std::move(results[i].table));
     heap.push_back(Event{first_attempt_us[trainees[i]], Event::kUploadArrival,
                          trainees[i], r, 0, arena.size() - 1});
   }
@@ -450,13 +516,43 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   // persisted arrival times and attempt counters, so a restarted server
   // replays exactly the same arrivals.
   for (PendingUpload& p : pending_) {
-    arena.push_back(std::move(p.table));
+    arena.emplace_back(std::move(p.table));
     heap.push_back(Event{p.arrival_us, Event::kUploadArrival, p.device, p.trained_round,
                          p.attempts_used, arena.size() - 1});
   }
   pending_.clear();
 
-  // 4. The event loop: process lease expiries and upload arrivals in
+  // With delta_uploads on, a same-round upload deltas against the round's
+  // warm table (the base every trainee started from, which the server
+  // still holds); carried uploads from earlier rounds always travel full.
+  // The decoded table is bit-identical to the sender's on either path, so
+  // the choice only shows in the byte counters.
+  const auto delta_base = [&](std::size_t trained_round) -> const rl::QTable* {
+    return options_.delta_uploads && trained_round == r && warm.has_value() ? &*warm : nullptr;
+  };
+
+  // 4. Codec pass: every upload whose next attempt lands before the close
+  //    is encoded, (seeded-)damaged and decoded across the worker pool.
+  //    Each result is a pure function of (churn seed, trained round,
+  //    device, attempt), so the event loop below only consumes them -
+  //    every counter and decision still happens there, in event order.
+  std::vector<Event> early;
+  for (const Event& ev : heap) {
+    if (ev.kind == Event::kUploadArrival && ev.t_us < round_close) early.push_back(ev);
+  }
+  run_indexed_tasks(early.size(), resolve_workers(runner_.workers, early.size()),
+                    [&](std::size_t i) {
+                      const Event& ev = early[i];
+                      InFlight& u = arena[ev.table];
+                      const rl::QTable* base = delta_base(ev.trained_round);
+                      u.wire = encode_upload(u.table, base, &u.went_delta);
+                      u.wire_bytes = u.wire.size();
+                      u.arrived = deliver(u, options_.churn, ev.trained_round, ev.device,
+                                          ev.attempt, base);
+                      u.attempted = true;
+                    });
+
+  // 5. The event loop: process lease expiries and upload arrivals in
   //    simulated-time order until the straggler deadline.
   std::make_heap(heap.begin(), heap.end(), later);
   std::size_t accepted_this_round = 0;
@@ -490,42 +586,28 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     }
     // Upload arrival: the table travels as CRC-guarded snapshot bytes; a
     // seeded per-attempt failure damages them in flight, the decode throws,
-    // and the device retries with exponential backoff + jitter. With
-    // delta_uploads on, a same-round upload deltas against the round's warm
-    // table (the base every trainee started from, which the server still
-    // holds); carried uploads from earlier rounds always travel full. The
-    // decoded table is bit-identical to the sender's on either path, so the
-    // choice only shows in the byte counters.
-    bool delivered = true;
-    rl::QTable* table = &arena[ev.table];
+    // and the device retries with exponential backoff + jitter. A first
+    // attempt was run by the codec pass; a retry reuses the clean bytes
+    // and runs here.
+    InFlight& u = arena[ev.table];
     std::optional<rl::QTable> decoded;
-    const rl::QTable* base =
-        options_.delta_uploads && ev.trained_round == r && warm.has_value() ? &*warm
-                                                                            : nullptr;
-    bool went_delta = false;
-    std::vector<std::uint8_t> blob = encode_upload(*table, base, &went_delta);
-    if (went_delta) {
-      stats_.upload_bytes_delta += blob.size();
+    if (u.attempted) {
+      decoded = std::move(u.arrived);
+      u.attempted = false;
+    } else {
+      decoded = deliver(u, options_.churn, ev.trained_round, ev.device, ev.attempt,
+                        delta_base(ev.trained_round));
+    }
+    if (u.went_delta) {
+      stats_.upload_bytes_delta += u.wire_bytes;
       ++stats_.uploads_delta;
       ++rs.delta_uploads;
     } else {
-      stats_.upload_bytes_full += blob.size();
+      stats_.upload_bytes_full += u.wire_bytes;
       ++stats_.uploads_full;
     }
-    rs.upload_bytes += blob.size();
-    if (options_.churn.upload_fail_rate > 0.0) {
-      SplitMix64 fate =
-          attempt_stream(options_.churn.seed, ev.trained_round, ev.device, ev.attempt);
-      if (bernoulli(fate, options_.churn.upload_fail_rate)) damage_blob(blob, fate);
-    }
-    try {
-      decoded = decode_upload(std::move(blob), base,
-                              "upload from device " + std::to_string(ev.device));
-      table = &*decoded;
-    } catch (const SerializeError&) {
-      delivered = false;
-    }
-    if (!delivered) {
+    rs.upload_bytes += u.wire_bytes;
+    if (!decoded.has_value()) {
       const std::uint32_t next_attempt = ev.attempt + 1;
       if (next_attempt >= options_.max_upload_attempts) {
         ++stats_.uploads_lost;
@@ -547,7 +629,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     // upload (a very late round-k arrival after round-(k+1) already landed
     // is redundant, not a regression).
     if (!uploads_[ev.device].has_value() || uploads_[ev.device]->round < ev.trained_round) {
-      uploads_[ev.device] = FleetUpload{*table, ev.trained_round};
+      uploads_[ev.device] = FleetUpload{std::move(*decoded), ev.trained_round};
       ++stats_.uploads_accepted;
       ++accepted_this_round;
       if (ev.trained_round < r) {
@@ -559,13 +641,13 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
     }
   }
 
-  // 5. Straggler deadline: whatever is still in flight carries into the
+  // 6. Straggler deadline: whatever is still in flight carries into the
   //    next round as persisted PendingUploads - merged late rather than
   //    dropped, and never allowed to stall this round's close.
   for (Event& ev : heap) {
     NEXTGOV_ASSERT(ev.kind == Event::kUploadArrival);  // expiries resolve in-round
     pending_.push_back(PendingUpload{ev.device, ev.trained_round, ev.t_us, ev.attempt,
-                                     std::move(arena[ev.table])});
+                                     std::move(arena[ev.table].table)});
   }
   std::sort(pending_.begin(), pending_.end(), [](const PendingUpload& a,
                                                  const PendingUpload& b) {
@@ -574,7 +656,7 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
   });
   rs.carried_late = pending_.size();
 
-  // 6. Graceful degradation merge: the staleness-weighted aggregate of
+  // 7. Graceful degradation merge: the staleness-weighted aggregate of
   //    every device's last accepted upload, aged by how many rounds ago it
   //    trained. Departed and straggling devices lean on their older
   //    uploads, exactly as the merge math intends; with no fresh arrivals
@@ -587,12 +669,13 @@ void FleetServer::run_round(const FleetServerProgressFn& progress) {
       tables.push_back(&upload->table);
       staleness.push_back(static_cast<double>(r - upload->round));
     }
-    last_aggregate_ = rl::merge_q_tables(tables, staleness, options_.merge_policy);
+    last_aggregate_ =
+        rl::merge_q_tables(tables, staleness, options_.merge_policy, runner_.workers);
   }
   rs.global_states = last_aggregate_.has_value() ? last_aggregate_->state_count() : 0;
   last_round_mean_reward_ = rs.mean_reward;
 
-  // 7. Round boundary: advance the clock, rotate the snapshot ring, report.
+  // 8. Round boundary: advance the clock, rotate the snapshot ring, report.
   clock_us_ = round_close;
   round_ = r + 1;
   ++stats_.rounds_served;

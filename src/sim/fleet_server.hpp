@@ -47,12 +47,25 @@
 //     clock + counters, container version 2) to
 //     `<snapshot_prefix>.<round mod snapshot_ring>`, keeping the last K
 //     boundaries. Startup scans the ring, quarantines entries that fail
-//     CRC or semantic validation against the running options (renamed to
-//     `<path>.corrupt`) and restores from the newest valid one, so a kill -9 at any point loses
-//     at most the round in progress - and replaying that round from the
+//     CRC or semantic validation against the running options (device ids,
+//     rounds, and every table's action count; renamed to `<path>.corrupt`)
+//     and restores from the newest valid one, so a kill -9 at any point
+//     loses at most the round in progress - and replaying that round from the
 //     boundary is bit-identical to never having died. Pinned by
 //     tests/sim/fleet_server_golden_test.cpp and the fleet_serverd CI
 //     crash-recovery smoke.
+//
+// Which steps run on the pool: the runner's `workers` threads carry not
+// only the training plan but the round's tail too. One codec pass encodes,
+// damages (seeded) and decodes every upload whose next attempt lands
+// before the deadline; the event loop then consumes those results and
+// still makes every decision and counts every byte in event order (a
+// retry reuses the cached clean bytes and runs in the loop). The merge
+// runs per key range (rl::merge_q_tables) and the ring entry serializes
+// and checksums one table per task (write_fleet_state_sections). Lease
+// bookkeeping, the event loop and the file write stay on the calling
+// thread. Every persisted byte is the same for every worker count
+// (FleetServer.RingEntriesByteIdenticalAcrossWorkerCounts).
 //
 // examples/fleet_serverd.cpp wraps this in a daemon with SIGINT/SIGTERM
 // drain; bench/perf_fleet_server.cpp measures round latency and
@@ -236,8 +249,9 @@ class FleetServer {
   FleetServer(workload::AppId app, const FleetServerOptions& options,
               const RunnerOptions& runner = {});
 
-  /// Executes one full round (train, event loop to the deadline, merge,
-  /// ring snapshot) and advances the simulated clock to the next boundary.
+  /// Executes one full round (train, upload codec pass, event loop to the
+  /// deadline, merge, ring snapshot) and advances the simulated clock to
+  /// the next boundary.
   void run_round(const FleetServerProgressFn& progress = {});
   void run_rounds(std::size_t n, const FleetServerProgressFn& progress = {});
 

@@ -1,62 +1,11 @@
 #include "sim/runner.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace nextgov::sim {
-
-// --- the shared worker pool ------------------------------------------------
-
-std::size_t resolve_workers(std::size_t requested, std::size_t tasks) noexcept {
-  std::size_t workers = requested;
-  if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    workers = hw > 0 ? hw : 1;
-  }
-  return std::min(workers, tasks);
-}
-
-void run_indexed_tasks(std::size_t n, std::size_t workers,
-                       const std::function<void(std::size_t)>& task) {
-  if (n == 0) return;
-  require(static_cast<bool>(task), "run_indexed_tasks needs a task");
-
-  std::vector<std::exception_ptr> errors(n);
-  const auto execute = [&](std::size_t i) {
-    try {
-      task(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) execute(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-          execute(i);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
-  }
-}
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
   // SplitMix64 finalizer over the combined (base, index) state: adjacent

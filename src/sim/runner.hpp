@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/task_pool.hpp"
 #include "sim/experiment.hpp"
 #include "workload/apps.hpp"
 
@@ -35,20 +36,12 @@ namespace nextgov::sim {
 
 // --- the shared worker pool ------------------------------------------------
 
-/// Resolves a RunnerOptions-style worker request against a task count:
-/// 0 = one worker per hardware thread, and never more workers than tasks.
-[[nodiscard]] std::size_t resolve_workers(std::size_t requested, std::size_t tasks) noexcept;
-
-/// Executes task(0) .. task(n-1) across `workers` threads with dynamic
-/// work stealing off a shared counter (cells vary wildly in length, so
-/// static striping would leave workers idle behind the longest stripe).
-/// workers <= 1 runs serially in the calling thread. Exceptions are
-/// collected per index and the first one in *index order* is rethrown
-/// after all workers have drained. Both run_plan() and run_training_plan()
-/// are thin wrappers over this pool; benches with bespoke per-cell loops
-/// (e.g. fig06's instrumented training) can use it directly.
-void run_indexed_tasks(std::size_t n, std::size_t workers,
-                       const std::function<void(std::size_t)>& task);
+// The pool itself lives in common/task_pool.hpp so the layers below sim
+// (the federated merge, the snapshot writer) can run on it too. run_plan()
+// and run_training_plan() are thin wrappers over it; benches with bespoke
+// per-cell loops (e.g. fig06's instrumented training) use it directly.
+using nextgov::resolve_workers;
+using nextgov::run_indexed_tasks;
 
 struct RunnerOptions {
   /// Worker threads; 0 = one per hardware thread. 1 = serial in the

@@ -134,6 +134,71 @@ TEST(Crc32, MatchesBitwiseReferenceOnALargeBuffer) {
   EXPECT_EQ(crc32(buf), reference_crc32(buf));
 }
 
+TEST(Crc32, CombineMatchesWholeBuffer) {
+  // Every split A|B of every buffer up to 64 bytes: the CRC of the whole
+  // must follow from the two halves' CRCs and |B| alone.
+  const std::vector<std::uint8_t> small = random_bytes(64, 0xC0B1u);
+  for (std::size_t len = 0; len <= small.size(); ++len) {
+    const std::span<const std::uint8_t> whole{small.data(), len};
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      const std::uint32_t a = crc32(whole.first(cut));
+      const std::uint32_t b = crc32(whole.subspan(cut));
+      ASSERT_EQ(crc32_combine(a, b, len - cut), crc32(whole))
+          << "length " << len << " cut at " << cut;
+    }
+  }
+  // A 3 MiB buffer in uneven chunks, combined left to right.
+  const std::vector<std::uint8_t> big = random_bytes(3u << 20, 0xB16u);
+  const std::span<const std::uint8_t> all{big};
+  std::uint32_t running = 0;  // crc32 of nothing
+  std::size_t at = 0;
+  for (const std::size_t len : {std::size_t{1}, std::size_t{0}, std::size_t{777},
+                                std::size_t{65536}, std::size_t{1} << 20, std::size_t{3},
+                                std::size_t{1234567}}) {
+    running = crc32_combine(running, crc32(all.subspan(at, len)), len);
+    at += len;
+  }
+  running = crc32_combine(running, crc32(all.subspan(at)), big.size() - at);
+  EXPECT_EQ(running, crc32(big));
+}
+
+TEST(SnapshotWriter, DeferredChunksMatchOneContiguousPayload) {
+  // A section built from scalar writes and deferred chunks, sealed on any
+  // worker count, must produce exactly the container of the same payload
+  // written in one piece - the version-seeded v3 section CRC included.
+  const std::vector<std::uint8_t> blob_a = random_bytes(100000, 1);
+  const std::vector<std::uint8_t> blob_b = random_bytes(4097, 2);
+  SnapshotWriter reference;
+  {
+    ByteWriter& w = reference.section("mixed");
+    w.u64(7);
+    w.bytes(blob_a);
+    w.str("between");
+    w.bytes(blob_b);
+    w.bytes(blob_a);
+    ByteWriter& plain = reference.section("plain");
+    plain.u32(5);
+    plain.bytes(blob_b);
+  }
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    SCOPED_TRACE(workers);
+    SnapshotWriter split;
+    ByteWriter* w = &split.section("mixed");
+    w->u64(7);
+    w = &split.defer([&](ByteWriter& out) { out.bytes(blob_a); });
+    w->str("between");
+    w = &split.defer([&](ByteWriter& out) { out.bytes(blob_b); });
+    w = &split.defer([&](ByteWriter& out) { out.bytes(blob_a); });  // back to back
+    split.section("plain").u32(5);
+    (void)split.defer([&](ByteWriter& out) { out.bytes(blob_b); });  // ends on an empty chunk
+    EXPECT_THROW((void)split.bytes(), ConfigError);  // fills still pending
+    split.seal(workers);
+    EXPECT_EQ(split.bytes(), reference.bytes());
+    const SnapshotReader read{split.bytes(), "test"};  // the reader's own CRC check
+    EXPECT_EQ(read.section("plain").u32(), 5u);
+  }
+}
+
 std::vector<std::uint8_t> two_section_snapshot() {
   SnapshotWriter w;
   ByteWriter& a = w.section("alpha");

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -306,6 +307,61 @@ TEST(FederatedMerge, BitIdenticalToTheHashMapReference) {
       const std::vector<double> unit(tables.size(), 1.0);
       EXPECT_TRUE(merge_q_tables(tables) == reference_merge(tables, unit))
           << "seed " << seed << " actions " << actions;
+    }
+  }
+}
+
+TEST(FederatedMerge, ParallelRangesBitIdenticalToSerial) {
+  // The key-range merge must reproduce the serial merge bit for bit on any
+  // worker count - more workers than states included - for overlapping,
+  // disjoint, single and empty inputs, with and without staleness.
+  const StalenessMergePolicy policy{1.5};
+  const std::vector<QTable> overlapping = random_tables(5, 9, 0x5EED);
+  QTable tiny{9};  // fewer states than workers
+  tiny.set_q(42, 3, 0.5);
+  tiny.add_visits(42, 3);
+  tiny.set_q(7, 0, -0.25);
+  QTable low{9};  // disjoint key sets: keys below 1000 ...
+  QTable high{9};  // ... and keys above 1 << 40
+  for (StateKey k = 0; k < 300; ++k) {
+    low.set_q(k * 3, k % 9, static_cast<double>(k) / 300.0);
+    low.add_visits(k * 3, k % 5);
+    high.set_q((StateKey{1} << 40) + k * 7, (k + 4) % 9, -static_cast<double>(k) / 300.0);
+    high.add_visits((StateKey{1} << 40) + k * 7, k % 4);
+  }
+  const QTable empty{9};
+
+  const auto ptrs = [](std::initializer_list<const QTable*> list) {
+    return std::vector<const QTable*>(list);
+  };
+  std::vector<const QTable*> many;
+  for (const QTable& t : overlapping) many.push_back(&t);
+  const std::vector<std::pair<const char*, std::vector<const QTable*>>> cases = {
+      {"overlapping", many},
+      {"single", ptrs({&overlapping.front()})},
+      {"tiny", ptrs({&tiny})},
+      {"tiny_and_empty", ptrs({&empty, &tiny, &empty})},
+      {"all_empty", ptrs({&empty, &empty})},
+      {"disjoint", ptrs({&low, &high})},
+      {"disjoint_and_overlapping", ptrs({&high, &overlapping[1], &low, &overlapping[2]})},
+  };
+  for (const auto& [name, tables] : cases) {
+    SCOPED_TRACE(name);
+    std::vector<double> staleness;
+    for (std::size_t i = 0; i < tables.size(); ++i) staleness.push_back(static_cast<double>(i % 3));
+    const QTable plain = merge_q_tables(tables);
+    const QTable stale = merge_q_tables(tables, staleness, policy);
+    ByteWriter plain_bytes;
+    plain.serialize(plain_bytes);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                      std::size_t{8}}) {
+      SCOPED_TRACE(workers);
+      const QTable pooled = merge_q_tables(tables, workers);
+      EXPECT_TRUE(pooled == plain);
+      ByteWriter pooled_bytes;
+      pooled.serialize(pooled_bytes);
+      EXPECT_EQ(pooled_bytes.data(), plain_bytes.data());
+      EXPECT_TRUE(merge_q_tables(tables, staleness, policy, workers) == stale);
     }
   }
 }

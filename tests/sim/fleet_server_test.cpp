@@ -8,7 +8,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,6 +124,61 @@ TEST(FleetServer, DeterministicAcrossWorkerCountsUnderChurn) {
   EXPECT_EQ(serial.stats().departures, pooled.stats().departures);
   EXPECT_EQ(serial.stats().late_uploads_merged, pooled.stats().late_uploads_merged);
   EXPECT_EQ(serial.stats().total_decisions, pooled.stats().total_decisions);
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>{in}, {}};
+}
+
+TEST(FleetServer, RingEntriesByteIdenticalAcrossWorkerCounts) {
+  // The round tail (upload codec, merge, ring serialization) runs on the
+  // worker pool; the worker count must not move a single persisted byte.
+  // Churn of every kind plus delta uploads exercises retries, carried
+  // uploads and lease expiries in the codec pass.
+  FleetServerOptions options = small_server();
+  options.devices = 5;
+  options.churn.depart_rate = 0.2;
+  options.churn.straggle_rate = 0.3;
+  options.churn.upload_fail_rate = 0.4;
+  options.churn.rejoin_after_rounds = 1;
+  options.delta_uploads = true;
+  options.snapshot_ring = 3;
+  const std::vector<std::size_t> workers = {1, 3, 4};
+  std::vector<std::unique_ptr<FleetServer>> servers;
+  std::vector<std::string> prefixes;
+  for (const std::size_t w : workers) {
+    prefixes.push_back(ring_prefix("workers_" + std::to_string(w)));
+    FleetServerOptions o = options;
+    o.snapshot_prefix = prefixes.back();
+    servers.push_back(std::make_unique<FleetServer>(workload::AppId::kFacebook, o,
+                                                    RunnerOptions{.workers = w}));
+  }
+  const auto expect_rings_equal = [&](const std::string& when) {
+    for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
+      const std::string reference = prefixes[0] + "." + std::to_string(slot);
+      for (std::size_t i = 1; i < servers.size(); ++i) {
+        const std::string other = prefixes[i] + "." + std::to_string(slot);
+        ASSERT_EQ(std::filesystem::exists(reference), std::filesystem::exists(other));
+        EXPECT_TRUE(file_bytes(reference) == file_bytes(other))
+            << when << ": slot " << slot << " differs at workers " << workers[i];
+      }
+    }
+  };
+  for (std::size_t round = 0; round < 5; ++round) {
+    for (auto& server : servers) server->run_round();
+    expect_rings_equal("round " + std::to_string(round));
+  }
+  for (auto& server : servers) server->drain();
+  expect_rings_equal("drain");
+  ASSERT_NE(servers[0]->global(), nullptr);
+  for (std::size_t i = 1; i < servers.size(); ++i) {
+    ASSERT_NE(servers[i]->global(), nullptr);
+    EXPECT_TRUE(*servers[i]->global() == *servers[0]->global()) << "workers " << workers[i];
+  }
+  // The churn really did exercise the event loop's retry and loss paths.
+  EXPECT_GT(servers[0]->stats().uploads_retried, 0u);
+  EXPECT_GT(servers[0]->stats().uploads_delta, 0u);
 }
 
 TEST(FleetServer, UniversalStragglersCarryIntoLaterRounds) {
@@ -303,6 +361,68 @@ TEST(FleetServerRing, WellFormedButWrongNewestEntryIsQuarantinedAndOlderOneResto
     EXPECT_TRUE(std::filesystem::exists(prefix + ".2.corrupt"));
     resumed.run_rounds(1);  // the restored state must be runnable
     EXPECT_EQ(resumed.round(), 2u);
+  }
+}
+
+TEST(FleetServerRing, WrongActionCountEntryIsQuarantinedAndOlderOneRestores) {
+  // A CRC-valid entry holding a table of the wrong shape (3 actions; this
+  // server's agents use 9) used to restore fine and then make every
+  // run_round - and every restart - throw when the table reached an agent.
+  // It must be quarantined like a damaged entry instead.
+  const std::string source = ring_prefix("actions_src");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 3;
+  options.snapshot_prefix = source;
+  {
+    FleetServer server{workload::AppId::kFacebook, options, {.workers = 2}};
+    server.run_rounds(2);  // round 1 -> slot 1, round 2 -> slot 2 (newest)
+  }
+  rl::QTable narrow{3};
+  narrow.set_q(1, 0, 0.5);
+  struct Mutation {
+    const char* name;
+    std::function<void(FleetSnapshot&)> apply;
+  };
+  const std::vector<Mutation> mutations = {
+      {"last_aggregate", [&](FleetSnapshot& s) { s.last_aggregate = narrow; }},
+      {"upload",
+       [&](FleetSnapshot& s) {
+         ASSERT_TRUE(s.uploads[0].has_value());
+         s.uploads[0]->table = narrow;
+       }},
+      {"pending_upload",
+       [&](FleetSnapshot& s) { s.pending_uploads.push_back(PendingUpload{0, 1, 0, 0, narrow}); }},
+  };
+  for (const Mutation& m : mutations) {
+    SCOPED_TRACE(m.name);
+    const std::string prefix = ring_prefix(std::string{"actions_"} + m.name);
+    std::filesystem::copy_file(source + ".1", prefix + ".1");
+    const SnapshotReader newest = SnapshotReader::from_file(source + ".2");
+    FleetSnapshot state = read_fleet_state_sections(newest);
+    ASSERT_TRUE(state.last_aggregate.has_value());
+    ASSERT_EQ(state.last_aggregate->action_count(), 9u);
+    m.apply(state);
+    SnapshotWriter resealed;
+    ByteReader stored_options = newest.section("fleet_server_options");
+    ByteWriter& options_out = resealed.section("fleet_server_options");
+    while (!stored_options.done()) options_out.u8(stored_options.u8());
+    write_fleet_state_sections(resealed, state);
+    resealed.write_file(prefix + ".2");
+
+    FleetServerOptions resume = options;
+    resume.snapshot_prefix = prefix;
+    FleetServer resumed{workload::AppId::kFacebook, resume, {.workers = 2}};
+    EXPECT_TRUE(resumed.restored());
+    EXPECT_EQ(resumed.round(), 1u);
+    EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".2"));
+    EXPECT_TRUE(std::filesystem::exists(prefix + ".2.corrupt"));
+    resumed.run_rounds(1);  // the fallback entry is runnable
+    EXPECT_EQ(resumed.round(), 2u);
+    // ... and so is a fresh restart from the ring it left behind.
+    FleetServer restarted{workload::AppId::kFacebook, resume, {.workers = 2}};
+    EXPECT_EQ(restarted.round(), 2u);
+    restarted.run_rounds(1);
   }
 }
 
