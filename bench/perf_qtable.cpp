@@ -9,8 +9,9 @@
 //      realistic mixed hit/miss key stream. Regression gate: the bench
 //      exits nonzero if the flat table loses to the baseline on either
 //      path (target ratio >= 1.5x on both);
-//   2. resident bytes/state: QTable::memory_bytes() vs the node-allocated
-//      baseline's (analytic) footprint;
+//   2. resident bytes/state: QTable::memory_bytes() of an online-grown and
+//      of a decoded table vs the node-allocated baseline's (analytic)
+//      footprint;
 //   3. fleet upload wire bytes at the 64-device / 8-shard shape: the same
 //      train_fleet run with full uploads and with delta_uploads on, which
 //      must produce bit-identical global tables (hard gate) while the
@@ -211,20 +212,28 @@ int main(int argc, char** argv) {
               micro_ok ? "ok" : "FAIL");
 
   // --- 2. resident bytes per state -----------------------------------------
-  // Flat: measured. Node baseline: analytic - hash node (pair + next
-  // pointer, allocator-rounded) + the q vector's own heap block + the
-  // bucket array at load factor 1.
-  const double flat_bytes_per_state =
-      static_cast<double>(flat.memory_bytes()) / static_cast<double>(flat.state_count());
+  // Flat: measured, for the table grown online above and for the same table
+  // decoded from its canonical bytes (a bulk build that reserves its exact
+  // row count). Node baseline: analytic - hash node (pair + next pointer,
+  // allocator-rounded) + the q vector's own heap block + the bucket array
+  // at load factor 1.
+  const auto bytes_per_state = [](const rl::QTable& t) {
+    return static_cast<double>(t.memory_bytes()) / static_cast<double>(t.state_count());
+  };
+  const double flat_bytes_per_state = bytes_per_state(flat);
+  ByteWriter flat_wire;
+  flat.serialize(flat_wire);
+  ByteReader flat_in{flat_wire.data()};
+  const double decoded_bytes_per_state = bytes_per_state(rl::QTable::deserialize(flat_in));
   const std::size_t node_payload = sizeof(rl::StateKey) + sizeof(std::vector<float>) +
                                    sizeof(std::uint64_t) + sizeof(std::uint32_t);
   const double node_bytes_per_state =
       static_cast<double>(((node_payload + 8 + 15) / 16) * 16  // node, 16-byte malloc rounding
                           + ((actions * sizeof(float) + 15) / 16) * 16 + 16  // q heap block
                           + sizeof(void*));                                  // bucket slot
-  std::printf("  memory: flat %.1f bytes/state (measured)  node ~%.1f bytes/state "
-              "(analytic)\n",
-              flat_bytes_per_state, node_bytes_per_state);
+  std::printf("  memory: flat %.1f bytes/state online, %.1f decoded (measured)  "
+              "node ~%.1f bytes/state (analytic)\n",
+              flat_bytes_per_state, decoded_bytes_per_state, node_bytes_per_state);
 
   // --- 3. fleet upload wire bytes (64-device shape) ------------------------
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -324,6 +333,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"memory\": {\n");
   std::fprintf(out, "    \"flat_bytes_per_state\": %.1f,\n", flat_bytes_per_state);
+  std::fprintf(out, "    \"decoded_bytes_per_state\": %.1f,\n", decoded_bytes_per_state);
   std::fprintf(out, "    \"unordered_map_bytes_per_state_estimate\": %.1f\n",
                node_bytes_per_state);
   std::fprintf(out, "  },\n");

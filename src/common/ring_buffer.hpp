@@ -1,11 +1,15 @@
-// ring_buffer.hpp - fixed-capacity circular buffer.
+// ring_buffer.hpp - circular buffer with explicit capacity.
 //
 // Backs the paper's "frame window" (160 FPS samples at 25 ms over 4 s) and
-// the sliding FPS counters. Once full, each push evicts the oldest element;
-// iteration yields elements oldest-first. No allocation after construction.
+// the sliding FPS counters (render/fps_counter.hpp). Once full, each push
+// evicts the oldest element; pop_oldest() drops it explicitly; iteration
+// yields elements oldest-first. Storage is allocated only by the
+// constructor and reserve(): push() and pop_oldest() never allocate, so a
+// buffer that has reached its working size stays allocation-free.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,8 +25,24 @@ class RingBuffer {
 
   void push(const T& value) noexcept {
     buf_[head_] = value;
-    head_ = (head_ + 1) % buf_.size();
+    head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
     if (size_ < buf_.size()) ++size_;
+  }
+
+  /// Drops the oldest element.
+  void pop_oldest() noexcept {
+    NEXTGOV_ASSERT(size_ > 0);
+    --size_;
+  }
+
+  /// Grows the storage to hold `capacity` elements (never shrinks),
+  /// keeping the contents and their order.
+  void reserve(std::size_t capacity) {
+    if (capacity <= buf_.size()) return;
+    std::vector<T> grown(capacity);
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = (*this)[i];
+    buf_ = std::move(grown);
+    head_ = size_;  // < capacity: the buffer only grows
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -33,7 +53,9 @@ class RingBuffer {
   /// Element `i` counted from the oldest (0) to the newest (size()-1).
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     NEXTGOV_ASSERT(i < size_);
-    return buf_[(head_ + buf_.size() - size_ + i) % buf_.size()];
+    // head_ < capacity and i < size_, so one wrap-around is the most needed.
+    const std::size_t at = head_ + buf_.size() - size_ + i;
+    return buf_[at < buf_.size() ? at : at - buf_.size()];
   }
 
   [[nodiscard]] const T& newest() const noexcept {

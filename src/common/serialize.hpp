@@ -22,6 +22,7 @@
 // upgrade can always restore the previous release's checkpoints.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -145,6 +146,12 @@ class ByteReader {
   [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
+  /// How many of `claimed` rows of `row_bytes` each the unread payload can
+  /// hold: the most a decoder may pre-size for from an untrusted count.
+  [[nodiscard]] std::size_t rows_available(std::uint64_t claimed,
+                                           std::size_t row_bytes) const noexcept {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(claimed, remaining() / row_bytes));
+  }
   [[nodiscard]] const std::string& context() const noexcept { return context_; }
 
   /// Throws SerializeError("<context>: <what>").

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -66,6 +67,11 @@ class NextAgent final : public governors::MetaGovernor {
   /// by the federated trainer).
   void set_q_table(rl::QTable table);
   [[nodiscard]] const rl::QTable& q_table() const noexcept { return table_; }
+  /// Moves the learned table out (a finished training run hands it to its
+  /// result without a copy) and leaves an empty table of the same shape.
+  [[nodiscard]] rl::QTable take_q_table() {
+    return std::exchange(table_, rl::QTable{table_.action_count(), table_.default_q()});
+  }
   void save_q_table(const std::string& path) const { table_.save(path); }
   void load_q_table(const std::string& path);
 

@@ -4,10 +4,14 @@
 // (Section IV-A): we count front-buffer updates (presented frames) inside a
 // trailing window. The Next agent samples this every 25 ms; the recorder
 // samples it at its own cadence.
+//
+// The window's timestamps live in a RingBuffer that doubles only when a
+// present finds it full, so once the counter holds its busiest window it
+// never allocates again; RenderPipeline reserves that size up front, which
+// keeps the engine tick allocation-free.
 #pragma once
 
-#include <deque>
-
+#include "common/ring_buffer.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 
@@ -27,11 +31,16 @@ class SlidingFpsCounter {
 
   void clear() noexcept { presents_.clear(); }
 
+  /// Sizes the window storage for `presents` entries up front (a producer
+  /// that knows its peak rate, such as a VSync-paced pipeline, calls it
+  /// once so the counter never has to grow mid-session).
+  void reserve(std::size_t presents) { presents_.reserve(presents); }
+
  private:
   void evict(SimTime now) const;
 
   SimTime window_;
-  mutable std::deque<SimTime> presents_;
+  mutable RingBuffer<SimTime> presents_;
 };
 
 }  // namespace nextgov::render

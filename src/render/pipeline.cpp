@@ -16,6 +16,11 @@ RenderPipeline::RenderPipeline(PipelineConfig cfg)
   require(cfg.refresh_hz > 0.0, "refresh rate must be positive");
   require(cfg.back_buffers >= 1, "need at least one back buffer");
   next_vsync_us_ = vsync_period_us_;
+  // At most one present (or drop) per VSync: a 1 s window holds at most
+  // refresh + 1 of them. Past 1 kHz the counters grow on demand instead.
+  const auto per_window = static_cast<std::size_t>(std::min(cfg.refresh_hz, 1000.0)) + 1;
+  fps_counter_.reserve(per_window);
+  drop_counter_.reserve(per_window);
 }
 
 void RenderPipeline::reset(SimTime now) noexcept {

@@ -137,6 +137,9 @@ QTable merge_impl(std::span<const QTable* const> tables, std::span<const double>
   // Installing range after range, in key order, keeps the insertion
   // sequence - hence the hash layout - of a single-range merge.
   QTable merged{actions};
+  std::size_t states = 0;
+  for (const RangeRows& r : rows) states += r.keys.size();
+  merged.reserve(states);
   for (const RangeRows& r : rows) {
     for (std::size_t i = 0; i < r.keys.size(); ++i) {
       merged.install_entry(r.keys[i], r.visits[i], r.tried[i],

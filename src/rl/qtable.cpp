@@ -12,25 +12,11 @@ namespace nextgov::rl {
 namespace {
 /// Section name inside the snapshot container used by save()/load().
 constexpr const char* kQTableSection = "qtable";
-
-/// A session typically visits a few thousand quantized states (Fig. 6
-/// reports state counts in this range); the first insert allocates straight
-/// at this capacity so online training never rehashes. Allocation is lazy:
-/// a default-constructed table owns no slot arrays, which keeps the many
-/// empty-table copies in the fleet paths free.
-constexpr std::size_t kInitialStateCapacity = 4096;
 }  // namespace
 
 QTable::QTable(std::size_t action_count, double default_q)
     : actions_{action_count}, default_q_{default_q} {
   require(action_count > 0, "QTable needs at least one action");
-}
-
-std::size_t QTable::initial_capacity() const noexcept {
-  // deserialize() admits up to 4096 actions; for such fat action spaces the
-  // 4096-slot slab would front a multi-MB value plane, so scale the first
-  // allocation down and let power-of-two growth catch up on demand.
-  return actions_ <= 64 ? kInitialStateCapacity : 64;
 }
 
 std::size_t QTable::find_slot(StateKey s) const noexcept {
@@ -47,7 +33,7 @@ std::size_t QTable::find_slot(StateKey s) const noexcept {
 }
 
 std::size_t QTable::insert_slot(StateKey s) {
-  if (capacity_ == 0 || 4 * (size_ + 1) > 3 * capacity_) grow();
+  if (4 * (size_ + 1) > 3 * capacity_) reserve(size_ + 1);
   const std::size_t mask = capacity_ - 1;
   std::size_t i = StateKeyHash{}(s) & mask;
   while (used_[i]) {
@@ -65,12 +51,14 @@ std::size_t QTable::insert_slot(StateKey s) {
   return i;
 }
 
-void QTable::reserve_states(std::size_t n) {
-  while (capacity_ == 0 || 4 * n > 3 * capacity_) grow();
+void QTable::reserve(std::size_t states) {
+  if (states == 0) return;
+  // Smallest power of two with states <= 3/4 capacity, i.e. >= ceil(4n/3).
+  const std::size_t cap = std::bit_ceil((4 * states + 2) / 3);
+  if (cap > capacity_) rehash(cap);
 }
 
-void QTable::grow() {
-  const std::size_t new_cap = capacity_ == 0 ? initial_capacity() : capacity_ * 2;
+void QTable::rehash(std::size_t new_cap) {
   std::vector<StateKey> keys(new_cap, 0);
   std::vector<std::uint8_t> used(new_cap, 0);
   std::vector<float> q(new_cap * actions_, 0.0f);
@@ -285,13 +273,11 @@ QTable QTable::deserialize(ByteReader& in) {
   const std::uint64_t states = in.u64();
   QTable t{static_cast<std::size_t>(actions), default_q};
   t.total_visits_ = total_visits;
-  // Cap the pre-size: `states` is untrusted header data, and a corrupt
-  // count must surface as a truncation SerializeError below, not as a
-  // giant allocation here.
-  if (states > 0) {
-    t.reserve_states(static_cast<std::size_t>(std::min<std::uint64_t>(states, 1u << 20)));
-  }
   const std::size_t row_bytes = 20 + 4 * t.actions_;  // serialize()'s row layout
+  // `states` is untrusted header data: size the table for the rows the
+  // payload can actually hold, so a corrupt count surfaces as a truncation
+  // SerializeError below instead of a giant allocation here.
+  t.reserve(in.rows_available(states, row_bytes));
   for (std::uint64_t i = 0; i < states; ++i) {
     const std::uint8_t* p = in.take(row_bytes);
     const StateKey key = load_u64(p);

@@ -11,12 +11,22 @@
 //
 // Storage layout: one contiguous key array plus structure-of-arrays value
 // lanes (q[action][slot], visits[slot], tried[slot]) with linear probing and
-// power-of-two growth. There is no per-entry allocation: a lookup is one
+// power-of-two capacity. There is no per-entry allocation: a lookup is one
 // probe over the key array plus a strided lane load, instead of the
 // node-pointer chase + per-entry vector<float> indirection of the previous
 // unordered_map backend. The table never erases individual states
 // (clear() wipes everything), so probe chains are tombstone-free and lookups
 // terminate at the first empty slot.
+//
+// Capacity policy: a table holding n states has the smallest power-of-two
+// capacity that keeps the load at or below 3/4 - none while empty (so the
+// fleet paths' many empty-table copies cost nothing), 2 slots for the first
+// state, doubling as states arrive. Bulk builds (deserialize, the delta and
+// quantized decoders, the federated merge) reserve() exactly the row count
+// their input proves before filling, so they land on the same capacity
+// without rehashing on the way up. Only clear() breaks the rule: it keeps
+// the slots it had. Residency therefore follows the states a table holds:
+// between 4/3 and 8/3 slots per state, whatever the table's size.
 #pragma once
 
 #include <cstdint>
@@ -101,11 +111,17 @@ class QTable {
   void install_entry(StateKey s, std::uint64_t visits, std::uint32_t tried,
                      std::span<const float> q);
 
-  /// Resident footprint of the table in bytes (object header + all slot
-  /// arrays, occupied or not). This is the number the fleet memory budget
-  /// tracks per device; serialized snapshots are sparser (occupied states
-  /// only, see serialize()).
+  /// Resident footprint of the table in bytes: the object header plus every
+  /// slot array at the current capacity, occupied or not (key 8 B, used
+  /// flag 1 B, visits 8 B, tried mask 4 B and 4 B per action, per slot).
+  /// Under the capacity policy above this tracks the state count within a
+  /// factor of two of the tightest legal fit; serialized snapshots are
+  /// sparser still (occupied states only, see serialize()).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
+  /// Grows the slot arrays once so `states` states fit at load <= 3/4
+  /// (never shrinks). Bulk builders call it with their exact row count.
+  void reserve(std::size_t states);
 
   void clear();
 
@@ -183,14 +199,12 @@ class QTable {
 
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  [[nodiscard]] std::size_t initial_capacity() const noexcept;
   /// Occupied slot holding `s`, or kNoSlot.
   [[nodiscard]] std::size_t find_slot(StateKey s) const noexcept;
   /// Slot holding `s`, inserting (and growing) if absent.
   std::size_t insert_slot(StateKey s);
-  /// Ensure capacity for `n` states without exceeding the max load factor.
-  void reserve_states(std::size_t n);
-  void grow();
+  /// Moves every entry into fresh slot arrays of `new_cap` (a power of two).
+  void rehash(std::size_t new_cap);
   /// Occupied slots in ascending key order: an LSD radix sort over
   /// (key, slot) pairs that skips key bytes every state shares. O(states)
   /// plus one allocation per call, several times cheaper than a comparison

@@ -54,10 +54,10 @@ QTableDelta QTableDelta::deserialize(ByteReader& in) {
   d.base_states = in.u64();
   d.base_total_visits = in.u64();
   const std::uint64_t count = in.u64();
-  // Changes are a subset of the sender's states; cap the pre-size like
-  // QTable::deserialize so a corrupt count surfaces as truncation below.
-  d.changes.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20)));
   const std::size_t row_bytes = 20 + 4 * d.action_count;  // serialize()'s row layout
+  // Pre-size for the rows the payload holds, like QTable::deserialize, so a
+  // corrupt count surfaces as truncation below.
+  d.changes.reserve(in.rows_available(count, row_bytes));
   StateKey prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint8_t* p = in.take(row_bytes);
@@ -140,6 +140,9 @@ QTable apply_delta(const QTable& base, const QTableDelta& delta) {
         "applied to (sender and receiver disagree about the last accepted sync)");
   }
   QTable out = base;
+  std::size_t added = 0;
+  for (const QTableDelta::Change& c : delta.changes) added += base.contains(c.key) ? 0 : 1;
+  out.reserve(base.state_count() + added);
   for (const QTableDelta::Change& c : delta.changes) {
     if (c.q.size() != base.action_count()) {
       throw SerializeError("Q-table delta rejected: change row has wrong action count");
@@ -264,11 +267,12 @@ QTable deserialize_quantized(ByteReader& in) {
   const std::uint64_t total_visits = in.u64();
   const std::uint64_t states = in.u64();
   QTable t{static_cast<std::size_t>(actions), default_q};
-  // Pre-size like QTable::deserialize (same untrusted-header cap) so the
-  // fill never rehashes mid-stream.
-  if (states > 0) {
-    t.reserve_states(static_cast<std::size_t>(std::min<std::uint64_t>(states, 1u << 20)));
-  }
+  // Pre-size like QTable::deserialize, for the rows the payload can hold,
+  // so the fill never rehashes and a corrupt count cannot allocate.
+  const std::size_t lane_bytes = quant == WireQuant::kF32   ? 4 * t.actions_
+                                 : quant == WireQuant::kF16 ? 2 * t.actions_
+                                                            : 8 + t.actions_;
+  t.reserve(in.rows_available(states, 20 + lane_bytes));
   std::vector<float> row(static_cast<std::size_t>(actions));
   for (std::uint64_t i = 0; i < states; ++i) {
     const StateKey key = in.u64();

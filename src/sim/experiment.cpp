@@ -209,14 +209,15 @@ TrainingResult train_next_on(AppFactory app_factory, const core::NextConfig& con
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  return TrainingResult{agent->q_table(),
+  const std::size_t states = agent->q_table().state_count();
+  return TrainingResult{agent->take_q_table(),
                         convergence.converged,
                         convergence.converged ? convergence.sim_seconds_at_convergence
                                               : trained.seconds(),
                         std::chrono::duration<double>(wall_end - wall_start).count(),
                         agent->decisions(),
                         agent->mean_reward(),
-                        agent->q_table().state_count()};
+                        states};
 }
 
 TrainingResult train_next(workload::AppId app, const core::NextConfig& config,

@@ -1,5 +1,7 @@
-// Unit tests for the fixed-capacity ring buffer behind the frame window.
+// Unit tests for the ring buffer behind the frame window and the FPS counters.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/ring_buffer.hpp"
@@ -56,6 +58,31 @@ TEST(RingBuffer, ClearResets) {
   rb.push(9);
   EXPECT_EQ(rb.newest(), 9);
   EXPECT_EQ(rb.size(), 1u);
+}
+
+TEST(RingBuffer, PopOldestDropsFromTheFront) {
+  RingBuffer<int> rb{3};
+  for (int i = 1; i <= 4; ++i) rb.push(i);  // wrapped: 2 3 4
+  rb.pop_oldest();
+  EXPECT_EQ(rb.size(), 2u);
+  EXPECT_EQ(rb.oldest(), 3);
+  EXPECT_EQ(rb.newest(), 4);
+  rb.push(5);
+  EXPECT_EQ(rb.to_vector(), (std::vector<int>{3, 4, 5}));
+}
+
+TEST(RingBuffer, ReserveKeepsContentsInOrderAndNeverShrinks) {
+  RingBuffer<int> rb{3};
+  for (int i = 1; i <= 5; ++i) rb.push(i);  // wrapped: 3 4 5
+  rb.reserve(8);
+  EXPECT_EQ(rb.capacity(), 8u);
+  EXPECT_EQ(rb.to_vector(), (std::vector<int>{3, 4, 5}));
+  for (int i = 6; i <= 10; ++i) rb.push(i);  // fills the new slots without evicting
+  EXPECT_EQ(rb.to_vector(), (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10}));
+  rb.reserve(2);
+  EXPECT_EQ(rb.capacity(), 8u);
+  rb.push(11);
+  EXPECT_EQ(rb.oldest(), 4);
 }
 
 /// Property: after any number of pushes, contents equal the last

@@ -159,11 +159,12 @@ TEST(QTableProperty, RandomOpStreamsMatchReferenceModel) {
 }
 
 TEST(QTableProperty, RehashBoundariesPreserveEveryEntry) {
-  // The flat table grows at 3/4 load from a 4096-slot initial slab: walk
-  // straight through the 3072- and 6144-entry boundaries and require every
-  // previously inserted key to stay reachable with exact values (probe
-  // chains are tombstone-free, so growth is the only event that can move
-  // entries).
+  // The flat table doubles at 3/4 load from a 2-slot first slab: walk
+  // straight through the small-table boundaries (48/96/192 entries: 64 ->
+  // 128 -> 256 -> 512 slots) and the 3072- and 6144-entry ones, and require
+  // every previously inserted key to stay reachable with exact values
+  // (probe chains are tombstone-free, so growth is the only event that can
+  // move entries).
   std::mt19937_64 rng{99};
   const std::size_t actions = 4;
   QTable flat{actions, 5.0};
@@ -175,8 +176,10 @@ TEST(QTableProperty, RehashBoundariesPreserveEveryEntry) {
     flat.set_q(key, i % actions, v);
     ref.set_q(key, i % actions, v);
     inserted.push_back(key);
-    const bool at_boundary = flat.state_count() == 3071 || flat.state_count() == 3072 ||
-                             flat.state_count() == 3073 || flat.state_count() == 6144;
+    const std::size_t n = flat.state_count();
+    const bool at_boundary = n == 47 || n == 48 || n == 49 || n == 96 || n == 97 ||
+                             n == 192 || n == 193 || n == 3071 || n == 3072 || n == 3073 ||
+                             n == 6144;
     if (at_boundary) {
       expect_tables_agree(flat, ref);
       for (const StateKey k : inserted) {

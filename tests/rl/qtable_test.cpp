@@ -10,7 +10,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
+#include "rl/federated.hpp"
 #include "rl/qtable.hpp"
+#include "rl/qtable_delta.hpp"
 
 namespace nextgov::rl {
 namespace {
@@ -107,8 +110,8 @@ TEST(QTable, EqualityIgnoresInsertionOrder) {
 }
 
 TEST(QTable, GrowthPreservesEveryStoredValueExactly) {
-  // Push the table far past its initial 4096-slot capacity so grow()
-  // rehashes several times, then audit every entry against a recomputable
+  // Push the table to 20k states so it rehashes at every doubling from
+  // its first 2-slot slab up, then audit every entry against a recomputable
   // formula. Pins the slot-major rehash copy: a transposed index in the
   // grow loop scrambles Q rows silently while small-table tests stay green
   // (this exact bug escaped the rest of the suite once).
@@ -223,7 +226,7 @@ TEST(QTableCanonicalOrder, TableGrownPastItsFirstCapacity) {
   std::vector<StateKey> keys(10000);
   for (StateKey& k : keys) k = rng.next() >> (rng.next() % 64);  // every key width
   const QTable t = table_with(keys);
-  ASSERT_GT(t.state_count(), 4096u * 3 / 4);  // past the first 4096-slot allocation
+  ASSERT_GT(t.state_count(), 4096u * 3 / 4);  // past the 4096-slot rehash boundary
   expect_canonical(t, keys);
 }
 
@@ -351,6 +354,124 @@ TEST_F(QTablePersistence, LoadMissingFileThrows) {
 TEST_F(QTablePersistence, SaveToBadPathThrows) {
   const QTable t{2};
   EXPECT_THROW(t.save("/nonexistent-dir-xyz/q.bin"), IoError);
+}
+
+// --- residency: capacity follows the state count -------------------------
+
+/// One slot's bytes at `actions` actions: key, used flag, visit count, tried
+/// mask and one float per action.
+std::size_t slot_bytes(std::size_t actions) { return 8 + 1 + 8 + 4 + 4 * actions; }
+
+/// memory_bytes() of a table with `slots` slots (the header is what an
+/// empty, never-allocated table reports).
+std::size_t bytes_at(std::size_t actions, std::size_t slots) {
+  return QTable{actions}.memory_bytes() + slots * slot_bytes(actions);
+}
+
+/// The capacity policy: the smallest power of two holding n states at
+/// load <= 3/4 (no slots at all for an empty table).
+std::size_t policy_slots(std::size_t n) {
+  if (n == 0) return 0;
+  std::size_t slots = 1;
+  while (4 * n > 3 * slots) slots *= 2;
+  return slots;
+}
+
+/// A table of `n` states with pseudo-random keys, tried values and visits.
+QTable random_table(std::size_t actions, std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng{seed};
+  QTable t{actions, 1.0};
+  while (t.state_count() < n) {
+    const StateKey k = rng.next();
+    t.set_q(k, k % actions, static_cast<double>(k % 1000) * 0.01);
+    t.add_visits(k, 1 + k % 7);
+  }
+  return t;
+}
+
+TEST(QTableResidency, OnlineGrowthStaysWithinTwiceTheExactFit) {
+  // Exact fit: the header plus the fewest slots that hold n states at load
+  // <= 3/4. Power-of-two doubling may overshoot it, never by 2x.
+  for (const std::size_t actions : {std::size_t{1}, std::size_t{9}}) {
+    QTable t{actions};
+    const std::size_t header = QTable{actions}.memory_bytes();
+    for (StateKey s = 1; s <= 20000; ++s) {
+      t.set_q(s * 0x9e3779b97f4a7c15ULL, 0, 1.0);
+      const std::size_t n = t.state_count();
+      const double per_state = static_cast<double>(t.memory_bytes()) / static_cast<double>(n);
+      const double fit_per_state =
+          static_cast<double>(header + (4 * n + 2) / 3 * slot_bytes(actions)) /
+          static_cast<double>(n);
+      ASSERT_LT(per_state, 2.0 * fit_per_state) << actions << " actions, " << n << " states";
+      ASSERT_EQ(t.memory_bytes(), bytes_at(actions, policy_slots(n)))
+          << actions << " actions, " << n << " states";
+    }
+  }
+}
+
+TEST(QTableResidency, EmptyTableOwnsNoSlots) {
+  const QTable t{9};
+  EXPECT_EQ(t.memory_bytes(), bytes_at(9, 0));
+}
+
+TEST(QTableResidency, ReserveSizesOnceAndNeverShrinks) {
+  QTable t{9};
+  t.reserve(560);
+  EXPECT_EQ(t.memory_bytes(), bytes_at(9, 1024));
+  t.reserve(10);
+  EXPECT_EQ(t.memory_bytes(), bytes_at(9, 1024));
+  for (StateKey k = 1; k <= 560; ++k) t.set_q(k, 0, 1.0);
+  EXPECT_EQ(t.memory_bytes(), bytes_at(9, 1024));  // the fill never grew past it
+}
+
+TEST(QTableResidency, DecodedTablesHoldExactlyThePolicyCapacity) {
+  for (const std::size_t n : {1u, 47u, 48u, 49u, 560u, 3000u}) {
+    const QTable t = random_table(9, n, n);
+    const std::size_t expected = bytes_at(9, policy_slots(n));
+    ByteWriter w;
+    t.serialize(w);
+    ByteReader in{w.data(), "residency"};
+    const QTable full = QTable::deserialize(in);
+    EXPECT_TRUE(full == t);
+    EXPECT_EQ(full.memory_bytes(), expected) << n << " states";
+    for (const WireQuant quant : {WireQuant::kF32, WireQuant::kF16, WireQuant::kQ8}) {
+      ByteWriter qw;
+      serialize_quantized(t, quant, qw);
+      ByteReader qin{qw.data(), "residency"};
+      EXPECT_EQ(deserialize_quantized(qin).memory_bytes(), expected)
+          << n << " states, quant " << static_cast<int>(quant);
+    }
+  }
+}
+
+TEST(QTableResidency, DeltaAppliedTablesHoldExactlyThePolicyCapacity) {
+  // The base's 40 states sit in 64 slots; the 200-state sender needs 512.
+  const QTable base = random_table(9, 40, 11);
+  QTable next = base;
+  SplitMix64 rng{12};
+  while (next.state_count() < 200) next.set_q(rng.next(), 1, 0.5);
+  const std::optional<QTableDelta> delta = try_make_delta(base, next);
+  ASSERT_TRUE(delta.has_value());
+  ByteWriter w;
+  delta->serialize(w);
+  ByteReader in{w.data(), "residency"};
+  const QTable applied = apply_delta(base, QTableDelta::deserialize(in));
+  EXPECT_TRUE(applied == next);
+  EXPECT_EQ(applied.memory_bytes(), bytes_at(9, policy_slots(200)));
+}
+
+TEST(QTableResidency, MergedTablesHoldExactlyThePolicyCapacity) {
+  const QTable a = random_table(9, 560, 21);
+  const QTable b = random_table(9, 700, 22);
+  const QTable* tables[] = {&a, &b};
+  for (const std::size_t workers : {1u, 3u}) {
+    const QTable merged = merge_q_tables(tables, workers);
+    EXPECT_EQ(merged.memory_bytes(), bytes_at(9, policy_slots(merged.state_count())))
+        << workers << " workers";
+  }
+  const QTable empty{9};
+  const QTable* empties[] = {&empty, &empty};
+  EXPECT_EQ(merge_q_tables(empties).memory_bytes(), bytes_at(9, 0));
 }
 
 }  // namespace
