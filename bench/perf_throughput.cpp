@@ -1,25 +1,27 @@
 // perf_throughput - engine throughput tracking for the repo's perf
 // trajectory.
 //
-// Measures steps/sec of the 1 ms Engine::step() loop for the stock
-// (schedutil) and Next stacks, then the parallel experiment runner's
-// scaling over serial for a small session sweep (including the bit-identity
-// check the runner guarantees), and writes everything to
-// bench_out/BENCH_throughput.json so successive PRs can be compared.
+// Measures the cost of the 1 ms Engine::step() tick on one thread for the
+// stock (schedutil) and Next stacks: every trial runs the whole scenario
+// library (sim::scenario_names(), each scenario for its own duration) on
+// one stack, and the bench repeats it 7 times after one untimed warm-up
+// pass, reporting the median, min and spread of ns/tick. Then it
+// measures the parallel experiment runner's scaling over serial for a
+// small session sweep (including the bit-identity check the runner
+// guarantees), and writes everything to bench_out/BENCH_throughput.json so
+// successive PRs can be compared.
 //
-// `--smoke` shrinks the measurement so CI can run it on every PR: the
-// numbers are then only smoke-level indicative, but the bit-identity
-// contract is still fully exercised.
+// `--smoke` shrinks the measurement so CI can run it on every PR (3 trials
+// instead of 7, a smaller runner sweep): the numbers are then only
+// smoke-level indicative, but the bit-identity contract is still fully
+// exercised.
 //
 // On hosts with a single hardware thread the parallel timing is
 // meaningless (threads just time-slice one core), so the speedup
 // measurement is reported as skipped; the bit-identity check still runs
 // with a real 4-thread pool, because the determinism contract is about
 // scheduling, not about cores.
-//
-// Reference points measured in the PR that introduced this bench (single
-// dedicated core, g++ 12 -O3 + LTO): pre-optimization ~4.5M steps/s on
-// both stacks; post-optimization ~9M steps/s.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -29,7 +31,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "sim/runner.hpp"
+#include "sim/scenario.hpp"
 #include "workload/apps.hpp"
 
 namespace {
@@ -37,19 +41,54 @@ namespace {
 using namespace nextgov;
 using nextgov::bench::wall_seconds;
 
-/// Steps/sec of one engine driven for `sim_seconds` of simulated time
-/// (1 ms steps) after a short warmup.
-double serial_steps_per_sec(sim::GovernorKind kind, double sim_seconds) {
-  sim::ExperimentConfig cfg;
-  cfg.governor = kind;
-  cfg.seed = 7;
-  auto engine = sim::make_engine(
-      [](std::uint64_t seed) { return workload::make_app(workload::AppId::kLineage, seed); },
-      cfg);
-  engine->run(SimTime::from_seconds(20.0));
-  const double wall =
-      wall_seconds([&] { engine->run(SimTime::from_seconds(sim_seconds)); });
-  return sim_seconds * 1000.0 / wall;
+/// ns/tick of one serial pass over the scenario library on `kind`'s stack
+/// (Next deploys an empty table: it decides every 100 ms and never learns).
+/// Engine construction is outside the timing; only the ticks are timed.
+double library_ns_per_tick(sim::GovernorKind kind) {
+  double wall = 0.0;
+  std::int64_t ticks = 0;
+  for (const std::string_view name : sim::scenario_names()) {
+    const sim::ScenarioSpec spec = sim::scenario(name);
+    const sim::ExperimentConfig config = spec.experiment_config(kind);
+    auto engine = sim::make_engine(spec.app_factory(), config);
+    wall += wall_seconds([&] { engine->run(config.duration); });
+    ticks += config.duration.us() / engine->config().step.us();
+  }
+  return wall * 1e9 / static_cast<double>(ticks);
+}
+
+/// Repeated serial library passes on one stack.
+struct TickCost {
+  double median_ns{0.0};
+  double min_ns{0.0};
+  double max_ns{0.0};
+  /// (max - min) / median over the trials.
+  [[nodiscard]] double spread() const { return (max_ns - min_ns) / median_ns; }
+};
+
+TickCost measure_tick_cost(sim::GovernorKind kind, int trials) {
+  TickCost cost;
+  (void)library_ns_per_tick(kind);  // warm-up
+  std::vector<double> ns;
+  for (int i = 0; i < trials; ++i) ns.push_back(library_ns_per_tick(kind));
+  cost.median_ns = percentile(ns, 50.0);
+  cost.min_ns = *std::min_element(ns.begin(), ns.end());
+  cost.max_ns = *std::max_element(ns.begin(), ns.end());
+  return cost;
+}
+
+void print_tick_cost(const char* stack, const TickCost& c) {
+  std::printf("  serial %-9s %7.1f ns/tick median (min %.1f, spread %.1f %%)\n", stack,
+              c.median_ns, c.min_ns, 100.0 * c.spread());
+}
+
+void write_tick_cost(std::FILE* out, const char* stack, const TickCost& c, bool last) {
+  std::fprintf(out, "    \"%s\": {\n", stack);
+  std::fprintf(out, "      \"ns_per_tick_median\": %.2f,\n", c.median_ns);
+  std::fprintf(out, "      \"ns_per_tick_min\": %.2f,\n", c.min_ns);
+  std::fprintf(out, "      \"ns_per_tick_max\": %.2f,\n", c.max_ns);
+  std::fprintf(out, "      \"spread\": %.4f\n", c.spread());
+  std::fprintf(out, "    }%s\n", last ? "" : ",");
 }
 
 }  // namespace
@@ -59,15 +98,15 @@ int main(int argc, char** argv) {
 
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
 
-  print_header("perf", smoke ? "engine steps/sec + runner scaling (smoke mode)"
-                             : "engine steps/sec + parallel runner scaling");
+  print_header("perf", smoke ? "engine ns/tick + runner scaling (smoke mode)"
+                             : "engine ns/tick + parallel runner scaling");
 
-  // --- serial hot-loop throughput ---------------------------------------
-  const double sim_seconds = smoke ? 150.0 : 2000.0;
-  const double sched_sps = serial_steps_per_sec(sim::GovernorKind::kSchedutil, sim_seconds);
-  const double next_sps = serial_steps_per_sec(sim::GovernorKind::kNext, sim_seconds);
-  std::printf("  serial schedutil: %8.2fM steps/s\n", sched_sps / 1e6);
-  std::printf("  serial next:      %8.2fM steps/s\n", next_sps / 1e6);
+  // --- serial tick cost ------------------------------------------------
+  const int trials = smoke ? 3 : 7;
+  const TickCost sched = measure_tick_cost(sim::GovernorKind::kSchedutil, trials);
+  const TickCost next = measure_tick_cost(sim::GovernorKind::kNext, trials);
+  print_tick_cost("schedutil", sched);
+  print_tick_cost("next", next);
 
   // --- parallel runner scaling ------------------------------------------
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -111,9 +150,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw);
   std::fprintf(out, "  \"serial\": {\n");
-  std::fprintf(out, "    \"sim_seconds\": %.1f,\n", sim_seconds);
-  std::fprintf(out, "    \"schedutil_steps_per_sec\": %.0f,\n", sched_sps);
-  std::fprintf(out, "    \"next_steps_per_sec\": %.0f\n", next_sps);
+  std::fprintf(out, "    \"workload\": \"scenario library, %zu scenarios, one thread\",\n",
+               sim::scenario_names().size());
+  std::fprintf(out, "    \"trials\": %d,\n", trials);
+  write_tick_cost(out, "schedutil", sched, false);
+  write_tick_cost(out, "next", next, true);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel\": {\n");
   std::fprintf(out, "    \"sessions\": %zu,\n", n_sessions);

@@ -31,7 +31,8 @@ Engine::Engine(soc::Soc soc, std::unique_ptr<workload::App> app,
   for (const auto& c : soc_.clusters()) throttle_ceiling_.push_back(c.opps().size() - 1);
   next_agent_ = dynamic_cast<core::NextAgent*>(meta_gov_.get());
   if (meta_gov_ != nullptr) meta_sample_period_ = meta_gov_->sample_period();
-  cluster_node_ = {thermal_.nodes.big, thermal_.nodes.little, thermal_.nodes.gpu};
+  const auto& nodes = thermal_.nodes;
+  sensor_node_ = {nodes.big, nodes.little, nodes.gpu, nodes.battery, nodes.skin};
   rebuild_observation(/*force=*/true);
 }
 
@@ -106,6 +107,7 @@ bool Engine::observation_consumer_due() const noexcept {
 
 void Engine::rebuild_observation(bool force) {
   obs_.now = now_;
+  auto& sensors = obs_.sensors;
   if (force || observation_consumer_due()) {
     for (std::size_t i = 0; i < soc_.cluster_count(); ++i) {
       const auto& c = soc_.cluster(i);
@@ -121,22 +123,25 @@ void Engine::rebuild_observation(bool force) {
     obs_.fps = pipeline_.current_fps(now_);
     obs_.drop_rate = pipeline_.current_drop_rate(now_);
   }
+  sensors.power = soc::quantize_power(device_power_);
 
-  const auto& nodes = thermal_.nodes;
+  // Each reading stays in its 0.1 C bucket for many ticks; the virtual
+  // device sensor is a pure function of the five, so it is recomputed only
+  // when one of them left its bucket. A fresh quantizer holds no bucket, so
+  // the first rebuild always writes the block.
   const auto temps = thermal_.network.temperatures_raw();
-  const Celsius t_big = soc::quantize_temperature(Celsius{temps[nodes.big]});
-  const Celsius t_little = soc::quantize_temperature(Celsius{temps[nodes.little]});
-  const Celsius t_gpu = soc::quantize_temperature(Celsius{temps[nodes.gpu]});
-  const Celsius t_batt = soc::quantize_temperature(Celsius{temps[nodes.battery]});
-  const Celsius t_skin = soc::quantize_temperature(Celsius{temps[nodes.skin]});
-  obs_.sensors.big = t_big;
-  obs_.sensors.little = t_little;
-  obs_.sensors.gpu = t_gpu;
-  obs_.sensors.battery = t_batt;
-  obs_.sensors.skin = t_skin;
-  obs_.sensors.device =
-      soc::quantize_temperature(soc::virtual_device_temperature(t_batt, t_skin, t_big, t_little, t_gpu));
-  obs_.sensors.power = soc::quantize_power(device_power_);
+  bool moved = false;
+  for (std::size_t i = 0; i < temp_sensor_.size(); ++i) {
+    moved |= temp_sensor_[i].update(Celsius{temps[sensor_node_[i]]});
+  }
+  if (!moved) return;
+  sensors.big = temp_sensor_[0].value();
+  sensors.little = temp_sensor_[1].value();
+  sensors.gpu = temp_sensor_[2].value();
+  sensors.battery = temp_sensor_[3].value();
+  sensors.skin = temp_sensor_[4].value();
+  sensors.device = soc::quantize_temperature(soc::virtual_device_temperature(
+      sensors.battery, sensors.skin, sensors.big, sensors.little, sensors.gpu));
 }
 
 void Engine::record_if_due() {
@@ -180,9 +185,9 @@ void Engine::apply_power_model() {
   auto& net = thermal_.network;
   Watts soc_power{0.0};
   for (std::size_t i = 0; i < soc_.cluster_count(); ++i) {
-    const Celsius junction = net.temperature(cluster_node_[i]);
+    const Celsius junction = net.temperature(sensor_node_[i]);
     const Watts p = soc::cluster_power(soc_.cluster(i), loads_[i], junction);
-    net.set_power(cluster_node_[i], p);
+    net.set_power(sensor_node_[i], p);
     soc_power += p;
   }
   const auto& device = soc_.device_power();

@@ -164,8 +164,12 @@ class alignas(64) Engine {
   /// meta_gov_ downcast once at construction so record_if_due() does not
   /// dynamic_cast on every sample.
   core::NextAgent* next_agent_{nullptr};
-  /// Thermal node feeding each cluster's junction sensor, in cluster order.
-  std::array<thermal::NodeId, 3> cluster_node_{};
+  /// Thermal node under each temperature sensor, in SensorReadings order
+  /// (big, LITTLE, GPU, battery, skin); the first three are the clusters'
+  /// junctions, in cluster order.
+  std::array<thermal::NodeId, 5> sensor_node_{};
+  /// One cached quantizer per entry of sensor_node_.
+  std::array<soc::TemperatureQuantizer, 5> temp_sensor_{};
   /// Latched by step_post_observe() when the meta governor's control period
   /// elapses; consumed by step_post_meta().
   bool meta_due_{false};

@@ -53,7 +53,10 @@
 //     loses at most the round in progress - and replaying that round from the
 //     boundary is bit-identical to never having died. Pinned by
 //     tests/sim/fleet_server_golden_test.cpp and the fleet_serverd CI
-//     crash-recovery smoke.
+//     crash-recovery smoke. Entries are replaced by rename and never
+//     fsynced: after a power cut a slot whose data missed the disk (empty
+//     or short) fails validation and is quarantined, and restore falls
+//     back to the next older entry.
 //
 // Which steps run on the pool: the runner's `workers` threads carry not
 // only the training plan but the round's tail too. One codec pass encodes,

@@ -17,4 +17,11 @@ Celsius virtual_device_temperature(Celsius battery, Celsius skin, Celsius big, C
   return Celsius{0.40 * battery.value() + 0.35 * skin.value() + 0.25 * soc_max};
 }
 
+void TemperatureQuantizer::refill(double y) noexcept {
+  const double k = std::round(y);
+  value_ = Celsius{k / 10.0};
+  // 2^52: from there on k +- 0.5 is not representable and the bounds round.
+  bucket_ = (k >= 1.0 && k < 0x1p52) ? k : std::numeric_limits<double>::quiet_NaN();
+}
+
 }  // namespace nextgov::soc

@@ -108,6 +108,7 @@ void RcNetwork::begin_mutation() {
   pending_nodes_ = topo_->nodes();
   pending_edges_ = topo_->edges();
   topo_.reset();
+  cached_dt_us_ = -1;  // step() may skip ensure_topology() only while built
 }
 
 NodeId RcNetwork::add_node(std::string name, double capacity_j_per_k,
@@ -195,15 +196,18 @@ void RcNetwork::euler_substep(double dt_s) noexcept {
 
 void RcNetwork::step(SimTime dt) {
   NEXTGOV_ASSERT(dt.us() >= 0);
-  if (temp_.empty() || dt.us() == 0) return;
-  ensure_topology();
+  // A cached dt implies a built topology and a sized flux buffer
+  // (begin_mutation() and ensure_topology() clear it), so the engine's
+  // fixed tick goes straight to the sub-steps.
   if (dt.us() != cached_dt_us_) {
+    if (temp_.empty() || dt.us() == 0) return;
+    ensure_topology();
     const double total_s = dt.seconds();
     cached_substeps_ = topo_->substeps_for(total_s);
     cached_dt_sub_s_ = total_s / static_cast<double>(cached_substeps_);
     cached_dt_us_ = dt.us();
+    if (flux_.size() != temp_.size()) flux_.assign(temp_.size(), 0.0);
   }
-  if (flux_.size() != temp_.size()) flux_.assign(temp_.size(), 0.0);
   for (std::size_t k = 0; k < cached_substeps_; ++k) euler_substep(cached_dt_sub_s_);
 }
 

@@ -2,13 +2,21 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "core/next_agent.hpp"
 #include "governors/schedutil.hpp"
 #include "governors/simple_governors.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
+#include "soc/sensors.hpp"
+#include "thermal/note9_model.hpp"
 #include "workload/apps.hpp"
 
 namespace nextgov::sim {
@@ -193,6 +201,180 @@ TEST(Engine, PhaseSplitComposesToStep) {
       EXPECT_EQ(a->q_table().state_count(), b->q_table().state_count());
       EXPECT_EQ(a->q_table().total_visits(), b->q_table().total_visits());
     }
+  }
+}
+
+// --- the sensor block against fresh quantization ----------------------------
+
+/// Schedutil that keeps the power reading of every control() call, so a
+/// test sees what each kernel-governor tick observed.
+class PowerProbe final : public governors::FreqGovernor {
+ public:
+  [[nodiscard]] SimTime period() const override { return inner_.period(); }
+  void control(const governors::Observation& obs, soc::Soc& soc) override {
+    seen.push_back(obs.sensors.power);
+    inner_.control(obs, soc);
+  }
+  void reset() override { inner_.reset(); }
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+
+  std::vector<Watts> seen;
+
+ private:
+  governors::SchedutilGovernor inner_;
+};
+
+/// make_engine() for the schedutil and deployed-Next stacks, with the
+/// kernel governor wrapped in a PowerProbe.
+std::unique_ptr<Engine> make_probed_engine(const AppFactory& app, const ExperimentConfig& config,
+                                           PowerProbe*& probe) {
+  auto soc = soc::make_exynos9810();
+  std::unique_ptr<governors::MetaGovernor> meta;
+  if (config.governor == GovernorKind::kNext) {
+    auto agent = core::make_next_agent(soc, config.next_config, config.seed);
+    agent->set_q_table(*config.trained_table);
+    agent->set_mode(core::AgentMode::kDeployed);
+    meta = std::move(agent);
+  }
+  auto governor = std::make_unique<PowerProbe>();
+  probe = governor.get();
+  EngineConfig engine_config;
+  engine_config.ambient = config.ambient;
+  engine_config.refresh_hz = config.refresh_hz;
+  engine_config.record_period = config.record_period;
+  return std::make_unique<Engine>(std::move(soc), app(config.seed), std::move(governor),
+                                  std::move(meta), engine_config);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every engine's network is a view over the one Note 9 topology, so the
+/// node ids are the same everywhere.
+const thermal::Note9Nodes& note9_nodes() {
+  static const thermal::Note9Nodes nodes = thermal::make_note9_thermal(Celsius{21.0}).nodes;
+  return nodes;
+}
+
+/// The five temperature readings equal freshly quantized node temperatures
+/// and the device reading equals the virtual-sensor formula over them.
+/// `tick` < 0 labels a check outside the tick loop.
+void expect_temperatures_exact(const Engine& e, const std::string& label, std::int64_t tick) {
+  const thermal::Note9Nodes& nodes = note9_nodes();
+  const auto temps = e.thermal().temperatures_raw();
+  const auto fresh = [&](thermal::NodeId n) { return soc::quantize_temperature(Celsius{temps[n]}); };
+  const Celsius big = fresh(nodes.big);
+  const Celsius little = fresh(nodes.little);
+  const Celsius gpu = fresh(nodes.gpu);
+  const Celsius battery = fresh(nodes.battery);
+  const Celsius skin = fresh(nodes.skin);
+  const Celsius device = soc::quantize_temperature(
+      soc::virtual_device_temperature(battery, skin, big, little, gpu));
+  const auto& s = e.observation().sensors;
+  ASSERT_EQ(bits(s.big.value()), bits(big.value())) << label << " tick " << tick;
+  ASSERT_EQ(bits(s.little.value()), bits(little.value())) << label << " tick " << tick;
+  ASSERT_EQ(bits(s.gpu.value()), bits(gpu.value())) << label << " tick " << tick;
+  ASSERT_EQ(bits(s.battery.value()), bits(battery.value())) << label << " tick " << tick;
+  ASSERT_EQ(bits(s.skin.value()), bits(skin.value())) << label << " tick " << tick;
+  ASSERT_EQ(bits(s.device.value()), bits(device.value())) << label << " tick " << tick;
+}
+
+/// The power reading `seen` equals the device power recomputed from the
+/// network's inputs, quantized.
+void expect_power_exact(const Engine& e, Watts seen, const std::string& label,
+                        std::int64_t tick) {
+  const thermal::Note9Nodes& nodes = note9_nodes();
+  // The engine's sum, in its order: clusters, then display (skin node) and
+  // rest of device (board node).
+  const auto& net = e.thermal();
+  Watts soc_power{0.0};
+  for (const thermal::NodeId n : {nodes.big, nodes.little, nodes.gpu}) soc_power += net.power(n);
+  const Watts device = soc_power + net.power(nodes.skin) + net.power(nodes.soc_board);
+  ASSERT_EQ(bits(seen.value()), bits(soc::quantize_power(device).value())) << label << " tick " << tick;
+}
+
+/// Steps `e` for `duration` and, after every tick, checks the temperature
+/// and power readings; on every tick where a power consumer ran (kernel
+/// governor, Next control point, recorder) it also checks the power reading
+/// each of them saw. Returns the number of consumer ticks.
+std::size_t expect_sensor_block_exact(Engine& e, const PowerProbe& probe, SimTime duration,
+                                      const std::string& label) {
+  const SimTime dt = e.config().step;
+  std::size_t consumer_ticks = 0;
+  for (std::int64_t t = 0; t < duration.us() / dt.us(); ++t) {
+    const std::size_t samples = e.recorder().samples().size();
+    const std::size_t controls = probe.seen.size();
+    e.step_pre_power();
+    e.apply_power_model();
+    e.thermal().step(dt);
+    e.step_post_observe();
+    const bool meta_tick = e.meta_control_due();
+    e.step_post_meta();
+    e.step_post_finish();
+    expect_temperatures_exact(e, label, t);
+    expect_power_exact(e, e.observation().sensors.power, label, t);
+
+    const bool recorded = e.recorder().samples().size() > samples;
+    const bool governed = probe.seen.size() > controls;
+    if (recorded || governed || meta_tick) {
+      ++consumer_ticks;
+      if (recorded) expect_power_exact(e, Watts{e.recorder().samples().back().power_w}, label, t);
+      if (governed) expect_power_exact(e, probe.seen.back(), label, t);
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  return consumer_ticks;
+}
+
+TEST(EngineSensors, ReadingsMatchFreshQuantizationOnEveryLibraryScenario) {
+  TrainingOptions training;
+  training.max_duration = 60_s;
+  const rl::QTable table =
+      train_next(workload::AppId::kFacebook, core::NextConfig{}, training).table;
+  for (const std::string_view name : scenario_names()) {
+    const ScenarioSpec spec = scenario(name);
+    for (const GovernorKind kind : {GovernorKind::kSchedutil, GovernorKind::kNext}) {
+      ExperimentConfig config = spec.experiment_config(kind);
+      config.trained_table = &table;
+      PowerProbe* probe = nullptr;
+      auto e = make_probed_engine(spec.app_factory(), config, probe);
+      const std::string label = std::string{name} + "/" + std::string{to_string(kind)};
+      expect_temperatures_exact(*e, label + " at construction", -1);
+      EXPECT_GT(expect_sensor_block_exact(*e, *probe, config.duration, label), 0u) << label;
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EngineSensors, ColdAmbientReadingsBelowOneBucketStayExact) {
+  // At -5 C every node starts in a negative bucket, and the junctions warm
+  // through the signed-zero bucket: the quantizer's full path, every tick.
+  ExperimentConfig config;
+  config.ambient = Celsius{-5.0};
+  config.seed = 3;
+  PowerProbe* probe = nullptr;
+  auto e = make_probed_engine(
+      [](std::uint64_t seed) { return workload::make_app(workload::AppId::kLineage, seed); },
+      config, probe);
+  ASSERT_EQ(e->observation().sensors.big.value(), -5.0);
+  EXPECT_GT(expect_sensor_block_exact(*e, *probe, 120_s, "ambient -5"), 0u);
+  EXPECT_GT(e->observation().sensors.big.value(), 0.0);
+  EXPECT_LT(e->observation().sensors.battery.value(), 1.0);
+}
+
+TEST(EngineSensors, ReadingsStayExactAcrossResetSession) {
+  ExperimentConfig config;
+  PowerProbe* probe = nullptr;
+  auto e = make_probed_engine(
+      [](std::uint64_t seed) { return workload::make_app(workload::AppId::kPubg, seed); },
+      config, probe);
+  expect_sensor_block_exact(*e, *probe, 60_s, "before reset");
+  ASSERT_GT(e->observation().sensors.big.value(), 30.0);
+  for (std::uint64_t episode = 2; episode <= 3; ++episode) {
+    e->reset_session(workload::make_app(workload::AppId::kFacebook, episode));
+    const std::string label = "episode " + std::to_string(episode);
+    expect_temperatures_exact(*e, label + " at reset", -1);
+    EXPECT_EQ(e->observation().sensors.big.value(), 21.0);
+    EXPECT_GT(expect_sensor_block_exact(*e, *probe, 30_s, label), 0u);
   }
 }
 

@@ -54,6 +54,7 @@ std::string ring_prefix(const std::string& name) {
   for (std::size_t slot = 0; slot < 16; ++slot) {
     std::remove((prefix + "." + std::to_string(slot)).c_str());
     std::remove((prefix + "." + std::to_string(slot) + ".corrupt").c_str());
+    std::remove((prefix + "." + std::to_string(slot) + ".tmp").c_str());
   }
   return prefix;
 }
@@ -297,6 +298,86 @@ TEST(FleetServerRing, CorruptNewestEntryIsQuarantinedAndOlderOneRestores) {
   resumed.run_rounds(2);
   ASSERT_NE(resumed.global(), nullptr);
   EXPECT_EQ(canonical_bytes(*resumed.global()), want);
+}
+
+TEST(FleetServerRing, ZeroLengthNewestEntryIsQuarantinedAndOlderOneRestores) {
+  // Ring writes are not fsynced: after a power cut the newest slot can be
+  // an empty file whose data never reached the disk. Restore must set it
+  // aside and resume from the newest complete entry.
+  const std::string prefix = ring_prefix("empty_ref");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 3;
+  options.snapshot_prefix = prefix;
+
+  FleetServer reference{workload::AppId::kFacebook, options, {.workers = 2}};
+  reference.run_rounds(5);
+  ASSERT_NE(reference.global(), nullptr);
+  const std::vector<std::uint8_t> want = canonical_bytes(*reference.global());
+
+  const std::string prefix2 = ring_prefix("empty_crash");
+  FleetServerOptions crashed = options;
+  crashed.snapshot_prefix = prefix2;
+  {
+    FleetServer server{workload::AppId::kFacebook, crashed, {.workers = 2}};
+    server.run_rounds(4);  // rounds 1..4 -> slots 1, 2, 0, 1 (newest)
+  }  // destroyed without drain()
+  const std::string newest = prefix2 + ".1";
+  std::filesystem::resize_file(newest, 0);
+
+  FleetServer resumed{workload::AppId::kFacebook, crashed, {.workers = 2}};
+  EXPECT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 3u);
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 1u);
+  EXPECT_TRUE(std::filesystem::exists(newest + ".corrupt"));
+  resumed.run_rounds(2);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*resumed.global()), want);
+  // Replaying round 4 rewrote its slot; every slot now holds the
+  // uninterrupted run's bytes.
+  for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
+    const std::string suffix = "." + std::to_string(slot);
+    EXPECT_TRUE(file_bytes(prefix2 + suffix) == file_bytes(prefix + suffix)) << "slot " << slot;
+  }
+}
+
+TEST(FleetServerRing, CrashBeforeRenameRestoresTheNewestSurvivingEntry) {
+  // A ring write fills `<slot>.tmp` and renames it over the slot. On the
+  // ring's first lap the slot does not exist yet, so a crash between the
+  // two leaves the slot missing and a complete `.tmp` beside it.
+  const std::string prefix = ring_prefix("rename_ref");
+  FleetServerOptions options = small_server();
+  options.snapshot_ring = 3;
+  options.snapshot_prefix = prefix;
+
+  FleetServer reference{workload::AppId::kFacebook, options, {.workers = 2}};
+  reference.run_rounds(5);
+  ASSERT_NE(reference.global(), nullptr);
+  const std::vector<std::uint8_t> want = canonical_bytes(*reference.global());
+
+  const std::string prefix2 = ring_prefix("rename_crash");
+  FleetServerOptions crashed = options;
+  crashed.snapshot_prefix = prefix2;
+  {
+    FleetServer server{workload::AppId::kFacebook, crashed, {.workers = 2}};
+    server.run_rounds(2);  // rounds 1, 2 -> slots 1, 2 (newest)
+  }  // destroyed without drain(): kill -9
+  const std::string newest = prefix2 + ".2";
+  ASSERT_EQ(std::rename(newest.c_str(), (newest + ".tmp").c_str()), 0);
+
+  FleetServer resumed{workload::AppId::kFacebook, crashed, {.workers = 2}};
+  EXPECT_TRUE(resumed.restored());
+  EXPECT_EQ(resumed.round(), 1u);
+  EXPECT_EQ(resumed.stats().snapshots_quarantined, 0u);
+  resumed.run_rounds(4);
+  ASSERT_NE(resumed.global(), nullptr);
+  EXPECT_EQ(canonical_bytes(*resumed.global()), want);
+  // Replaying round 2 rewrote the stale `.tmp` and renamed it in; every
+  // slot now holds the uninterrupted run's bytes.
+  EXPECT_FALSE(std::filesystem::exists(newest + ".tmp"));
+  for (std::size_t slot = 0; slot < options.snapshot_ring; ++slot) {
+    const std::string suffix = "." + std::to_string(slot);
+    EXPECT_TRUE(file_bytes(prefix2 + suffix) == file_bytes(prefix + suffix)) << "slot " << slot;
+  }
 }
 
 TEST(FleetServerRing, WellFormedButWrongNewestEntryIsQuarantinedAndOlderOneRestores) {
